@@ -5,8 +5,10 @@ use std::process::Command;
 use std::thread;
 use std::time::Instant;
 
+use serde::Serialize;
+
 /// What every result set records about where it ran.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Fingerprint {
     /// `git rev-parse HEAD` in the working directory, or `unknown`.
     pub commit: String,
@@ -131,11 +133,60 @@ pub fn build_id() -> std::io::Result<String> {
     Ok(format!("{hash:016x}"))
 }
 
+/// A size field of `/proc/self/status` (such as `VmHWM` or `VmRSS`) in MiB,
+/// if known.
+fn status_mb(field: &str) -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line =
+        status.lines().find(|l| l.strip_prefix(field).is_some_and(|r| r.starts_with(':')))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 /// Peak resident set size of this process in MiB (`VmHWM`), if known.
 #[must_use]
 pub fn peak_rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb / 1024.0)
+    status_mb("VmHWM")
+}
+
+/// Current resident set size of this process in MiB (`VmRSS`), if known.
+#[must_use]
+pub fn rss_mb() -> Option<f64> {
+    status_mb("VmRSS")
+}
+
+/// A CPU set as `sched_getaffinity(2)` and `sched_setaffinity(2)` take it.
+type CpuMask = [u64; 16];
+
+extern "C" {
+    fn sched_getaffinity(pid: i32, size: usize, mask: *mut CpuMask) -> i32;
+    fn sched_setaffinity(pid: i32, size: usize, mask: *const CpuMask) -> i32;
+}
+
+/// Confines the calling thread, and every thread it starts afterwards, to
+/// the lowest-numbered CPU it may run on, and returns that CPU.
+///
+/// On a shared host the second CPU comes and goes, and a loopback round trip
+/// takes a different time when the two ends wake on different CPUs than when
+/// they hand over on one. On one CPU every hand-over is the same.
+///
+/// # Errors
+///
+/// The affinity calls fail.
+pub fn pin_to_one_cpu() -> Result<usize, String> {
+    let mut mask: CpuMask = [0; 16];
+    // SAFETY: `mask` is a valid, writable buffer of the size passed.
+    if unsafe { sched_getaffinity(0, std::mem::size_of::<CpuMask>(), &mut mask) } != 0 {
+        return Err(format!("sched_getaffinity: {}", std::io::Error::last_os_error()));
+    }
+    let cpu = (0..mask.len() * 64)
+        .find(|&c| mask[c / 64] >> (c % 64) & 1 == 1)
+        .ok_or("no CPU in this thread's affinity mask")?;
+    let mut one: CpuMask = [0; 16];
+    one[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: `one` is a valid buffer of the size passed.
+    if unsafe { sched_setaffinity(0, std::mem::size_of::<CpuMask>(), &one) } != 0 {
+        return Err(format!("sched_setaffinity: {}", std::io::Error::last_os_error()));
+    }
+    Ok(cpu)
 }

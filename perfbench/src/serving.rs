@@ -82,7 +82,7 @@ fn long_slices(corpora: &[LangCorpus]) -> Vec<Batch> {
         .collect()
 }
 
-/// Recognizes `short` passes for a third of `budget` and `long` slices for
+/// Recognizes `short` passes for a quarter of `budget` and `long` slices for
 /// the rest, each class at least once in full, checking every verdict.
 ///
 /// The speed of a shared host drifts by half within seconds, so every pass
@@ -105,7 +105,7 @@ pub fn run_raw(
     let mut short_rates = Vec::new();
     let mut short_wall = Vec::new();
     let start = Instant::now();
-    while short_rates.is_empty() || start.elapsed() < budget / 3 {
+    while short_rates.is_empty() || start.elapsed() < budget / 4 {
         let mut verdicts = Vec::with_capacity(short_inputs);
         let pass = Instant::now();
         for (g, c) in grammars.iter().zip(corpora) {
@@ -130,7 +130,7 @@ pub fn run_raw(
     let mut slice_wall: Vec<Vec<f64>> = vec![Vec::new(); slices.len()];
     let start = Instant::now();
     let mut next = 0;
-    while next < slices.len() || start.elapsed() < budget * 2 / 3 {
+    while next < slices.len() || start.elapsed() < budget * 3 / 4 {
         let k = next % slices.len();
         next += 1;
         let slice = &slices[k];

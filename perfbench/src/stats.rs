@@ -1,5 +1,7 @@
 //! Medians, percentiles, metric records and their JSON rendering.
 
+use serde::{Serialize, Value};
+
 /// Median of `values` (mean of the middle two for even counts; 0 if empty).
 #[must_use]
 pub fn median(values: &[f64]) -> f64 {
@@ -60,52 +62,18 @@ impl Metrics {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.0.iter().map(|(n, _, _)| n.as_str())
     }
-
-    /// `{"name": {"value": v, "unit": "u"}, ...}`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .0
-            .iter()
-            .map(|(n, v, u)| {
-                format!("{}: {{\"value\": {}, \"unit\": {}}}", quote(n), number(*v), quote(u))
-            })
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
 }
 
-/// A JSON number with every digit Rust's shortest round-trip form keeps;
-/// non-finite values (never produced by a sound run) become `null`.
-#[must_use]
-pub fn number(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains(['.', 'e']) {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
+/// Renders as `{"name": {"value": v, "unit": "u"}, ...}` in recording order;
+/// a non-finite value (never produced by a sound run) becomes `null`.
+impl Serialize for Metrics {
+    fn to_value(&self) -> Value {
+        let entry = |v: f64, unit: &str| {
+            let value = if v.is_finite() { Value::Float(v) } else { Value::Null };
+            Value::Object(vec![("value".into(), value), ("unit".into(), Value::Str(unit.into()))])
+        };
+        Value::Object(self.0.iter().map(|(n, v, u)| (n.clone(), entry(*v, u))).collect())
     }
-}
-
-/// A JSON string literal.
-#[must_use]
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -139,12 +107,12 @@ mod tests {
         let mut m = Metrics::default();
         m.push("a", 1.0, "s");
         m.push("b", 0.125, "1/s");
+        m.push("c", f64::NAN, "MB");
         assert_eq!(
-            m.to_json(),
-            "{\"a\": {\"value\": 1.0, \"unit\": \"s\"}, \"b\": {\"value\": 0.125, \"unit\": \"1/s\"}}"
+            serde_json::to_string(&m).unwrap(),
+            "{\"a\":{\"value\":1.0,\"unit\":\"s\"},\"b\":{\"value\":0.125,\"unit\":\"1/s\"},\
+             \"c\":{\"value\":null,\"unit\":\"MB\"}}"
         );
-        assert_eq!(quote("a\"b\n"), "\"a\\\"b\\u000a\"");
-        assert_eq!(number(f64::NAN), "null");
     }
 
     #[test]
