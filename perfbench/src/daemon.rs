@@ -101,8 +101,8 @@ struct ClientLog {
     query_ns: Vec<u64>,
     publish_ns: Vec<u64>,
     scrape_ns: Vec<u64>,
-    attempted: u64,
-    failed: u64,
+    wrong_queries: Vec<(usize, usize)>,
+    failed_requests: u64,
     completed: u64,
 }
 
@@ -123,16 +123,18 @@ pub struct LoopRun {
     pub publish_ns: Vec<u64>,
     /// `A /metrics` round trips, nanoseconds.
     pub scrape_ns: Vec<u64>,
-    /// Requests sent.
-    pub attempted: u64,
-    /// Error replies, broken connections and wrong `Q` verdicts.
-    pub failed: u64,
+    /// `(language, short input)` of every `Q` answered with a verdict that
+    /// differs from the reference.
+    pub wrong_queries: Vec<(usize, usize)>,
+    /// Error replies, broken connections, unacknowledged `P` and empty `A`.
+    pub failed_requests: u64,
     /// Requests answered (correctly or not).
     pub completed: u64,
     /// Wall time of the loop's slices.
     pub wall_s: f64,
-    /// Sum over slices of wall time divided by the slowdown after it.
-    pub scaled_s: f64,
+    /// Per slice, requests answered over its wall time divided by the
+    /// slowdown after it. Their median is `daemon_req_per_s`.
+    pub slice_rates: Vec<f64>,
 }
 
 /// Where one connection is in its request schedule.
@@ -185,7 +187,8 @@ pub fn run_loop(
         let wall = t.elapsed().as_secs_f64();
         let slowdown = host::slowdown();
         run.wall_s += wall;
-        run.scaled_s += wall / slowdown;
+        let completed: u64 = logs.iter().map(|log| log.completed).sum();
+        run.slice_rates.push(completed as f64 * slowdown / wall);
         let scaled: Vec<u64> = logs
             .iter()
             .flat_map(|log| &log.query_ns)
@@ -197,8 +200,8 @@ pub fn run_loop(
             run.query_ns.extend(log.query_ns);
             run.publish_ns.extend(log.publish_ns);
             run.scrape_ns.extend(log.scrape_ns);
-            run.attempted += log.attempted;
-            run.failed += log.failed;
+            run.wrong_queries.extend(log.wrong_queries);
+            run.failed_requests += log.failed_requests;
             run.completed += log.completed;
         }
     }
@@ -248,7 +251,7 @@ fn client_slice(
             break;
         }
         state.sent += 1;
-        log.attempted += 1;
+        let mut query = None;
         let request = schedule(index, state.sent, published, elapsed, slice);
         let t = Instant::now();
         let outcome = match request {
@@ -262,6 +265,7 @@ fn client_slice(
             Request::Query => {
                 let l = state.rng.gen_range(0..corpora.len());
                 let i = state.rng.gen_range(0..corpora[l].short.len());
+                query = Some((l, i));
                 conn.query(corpora[l].name, &corpora[l].short[i])
                     .map(|verdict| verdict == labels[l].short[i])
             }
@@ -275,10 +279,15 @@ fn client_slice(
         match outcome {
             Ok(ok) => {
                 log.completed += 1;
-                log.failed += u64::from(!ok);
+                if !ok {
+                    match query {
+                        Some(input) => log.wrong_queries.push(input),
+                        None => log.failed_requests += 1,
+                    }
+                }
             }
             Err(_) => {
-                log.failed += 1;
+                log.failed_requests += 1;
                 match FrameConn::connect(addr, &format!("bench-{index}")) {
                     Ok(fresh) => *conn = fresh,
                     Err(_) => break,

@@ -7,6 +7,8 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use crate::stats::median;
+
 /// What every result set records about where it ran.
 #[derive(Clone, Debug, Serialize)]
 pub struct Fingerprint {
@@ -76,14 +78,20 @@ fn reference_work() -> u64 {
     acc
 }
 
-/// How much slower than [`REFERENCE_S`] the host runs right now: the time
-/// of one [`reference_work`] over it. On a shared host whose speed drifts,
-/// this tracks the speed of the raw scan measured next to it.
+/// How much slower than [`REFERENCE_S`] the host runs right now: the median
+/// time of three [`reference_work`]s over it, so that one preempted sample
+/// does not set it. On a shared host whose speed drifts, this tracks the
+/// speed of the raw scan measured next to it.
 #[must_use]
 pub fn slowdown() -> f64 {
-    let t = Instant::now();
-    std::hint::black_box(reference_work());
-    t.elapsed().as_secs_f64() / REFERENCE_S
+    let samples: Vec<f64> = (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(reference_work());
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    median(&samples) / REFERENCE_S
 }
 
 /// Measures effective parallelism: the same work per thread on one thread

@@ -37,7 +37,7 @@ use vstar_telemetry::{SpanTiming, Timings};
 use corpus::{digest, LangCorpus};
 use learn::{attribution, span_nanos, Attribution, Learned, LEARN_SPANS};
 use serde::{Serialize, Value};
-use serving::Labels;
+use serving::{Labels, Wrong};
 use stats::{median, percentile, Metrics};
 
 /// End-to-end metrics, `(name, unit)`, as `BENCHMARK.json` lists them.
@@ -389,16 +389,27 @@ fn run(args: &Args) -> Result<Report, String> {
     }
     let Setup { grammars, mut served, .. } = kept.expect("SETUP_REPS > 0");
 
+    // Every distinct serving input is one operation; see `Wrong`.
+    let mut wrong = Wrong::new(&corpora);
     if let Some(traced) = &traced {
         traced_layers(&mut report, &learned, traced, compile_s, &artifacts, &load_s);
-        serve_layers(&mut report, seed, &grammars, &mut served, &corpora, &labels, &artifacts)?;
+        serve_layers(
+            &mut report,
+            seed,
+            &grammars,
+            &mut served,
+            &corpora,
+            &labels,
+            &mut wrong,
+            &artifacts,
+        )?;
     } else {
         let (raw_budget, daemon_budget) = args.workload.budgets(args.seconds);
         progress(
             clock,
             &format!("serving raw for {raw_budget:?}, through the daemon for {daemon_budget:?}"),
         );
-        let raw = serving::run_raw(&grammars, &corpora, &labels, raw_budget);
+        let raw = serving::run_raw(&grammars, &corpora, &labels, raw_budget, &mut wrong);
         // The daemon's access log keeps every record in memory, so its memory
         // grows with the requests served; peak memory is read before the loop
         // and the growth per request is the per-layer `daemon.rss_kb_per_request`.
@@ -408,10 +419,7 @@ fn run(args: &Args) -> Result<Report, String> {
             "peak RSS after the daemon loop: {:.1} MB",
             host::peak_rss_mb().unwrap_or(f64::NAN)
         ));
-        report.attempted += raw.attempted + run.attempted;
-        report.failed += raw.failed + run.failed;
-        report.facts.insert("raw.failed.short".into(), raw.distinct_failed_short.to_string());
-        report.facts.insert("raw.failed.long".into(), raw.distinct_failed_long.to_string());
+        count_loop(&mut report, &run, &mut wrong);
 
         let learn_s: f64 = learned.iter().map(|l| l.scaled_seconds).sum();
         report.notes.push(format!(
@@ -430,7 +438,7 @@ fn run(args: &Args) -> Result<Report, String> {
         m.push("raw_long_kchars_per_s", raw.long_kchars_per_s, "kchar/s");
         m.push("q_p50_us", percentile(&run.scaled_query_ns, 50.0) as f64 / 1e3, "us");
         m.push("q_p99_us", median(&run.slice_p99_ns) / 1e3, "us");
-        m.push("daemon_req_per_s", run.completed as f64 / run.scaled_s, "1/s");
+        m.push("daemon_req_per_s", median(&run.slice_rates), "1/s");
         report.notes.push(format!("set-up wall seconds: {setup_wall_s:?}; loading: {load_s:?}"));
         report.notes.push(format!(
             "raw wall clock: {:.0} short inputs/s, {:.2} long kchar/s",
@@ -443,10 +451,7 @@ fn run(args: &Args) -> Result<Report, String> {
             run.completed as f64 / run.wall_s,
         ));
         report.notes.push(format!(
-            "raw: {} short and {} long inputs answered wrongly (distinct); daemon: {} Q, \
-             {} P (p50 {:.2} ms, max {:.2} ms), {} A (p50 {:.2} ms)",
-            raw.distinct_failed_short,
-            raw.distinct_failed_long,
+            "daemon: {} Q, {} P (p50 {:.2} ms, max {:.2} ms), {} A (p50 {:.2} ms)",
             run.query_ns.len(),
             run.publish_ns.len(),
             percentile(&run.publish_ns, 50.0) as f64 / 1e6,
@@ -456,6 +461,14 @@ fn run(args: &Args) -> Result<Report, String> {
         ));
     }
     served.stop();
+    let (wrong_short, wrong_long) = wrong.counts();
+    report.attempted += wrong.inputs();
+    report.failed += wrong_short + wrong_long;
+    report.facts.insert("served.wrong.short".into(), wrong_short.to_string());
+    report.facts.insert("served.wrong.long".into(), wrong_long.to_string());
+    report.notes.push(format!(
+        "served: {wrong_short} short and {wrong_long} long inputs answered wrongly (distinct)"
+    ));
     progress(clock, "done");
 
     for l in &learned {
@@ -577,6 +590,7 @@ fn traced_layers(
 }
 
 /// Per-layer metrics of the serving side, in a traced run.
+#[allow(clippy::too_many_arguments)]
 fn serve_layers(
     report: &mut Report,
     seed: u64,
@@ -584,10 +598,11 @@ fn serve_layers(
     served: &mut daemon::Served,
     corpora: &[LangCorpus],
     labels: &[Labels],
+    wrong: &mut Wrong,
     artifacts: &[(&str, String)],
 ) -> Result<(), String> {
     eprintln!("perfbench: per-layer serving probes");
-    let raw = serving::raw_layers(grammars, corpora, labels, LAYER_REPS);
+    let raw = serving::raw_layers(grammars, corpora, labels, LAYER_REPS, wrong);
     let local_ns = daemon::local_recognize_ns(grammars, corpora, LAYER_REPS);
     let rss_before = host::rss_mb().unwrap_or(f64::NAN);
     let run = daemon::run_loop(served, corpora, labels, artifacts, TRACED_LOOP, seed);
@@ -612,8 +627,7 @@ fn serve_layers(
         client.recognize(name, input).map(drop).map_err(|e| format!("client query: {e}"))
     })?;
 
-    report.attempted += run.attempted;
-    report.failed += run.failed;
+    count_loop(report, &run, wrong);
     report.facts.insert("scan.failed.short".into(), raw.failed_short.to_string());
     report.facts.insert("scan.failed.long".into(), raw.failed_long.to_string());
     report.facts.insert("stream.disagree".into(), disagree.to_string());
@@ -636,6 +650,16 @@ fn serve_layers(
     m.push("admin_metrics.stall_ms", median(&stalled_ms), "ms");
     m.push("stream.disagree", disagree as f64, "count");
     Ok(())
+}
+
+/// Marks the closed loop's wrong `Q` verdicts in `wrong` and counts each of
+/// its failed requests as one more failed operation.
+fn count_loop(report: &mut Report, run: &daemon::LoopRun, wrong: &mut Wrong) {
+    for &(l, i) in &run.wrong_queries {
+        wrong.short[l][i] = true;
+    }
+    report.attempted += run.failed_requests;
+    report.failed += run.failed_requests;
 }
 
 /// Compares this run's exact facts with those of an earlier run of the same

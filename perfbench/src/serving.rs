@@ -40,6 +40,43 @@ pub fn load_all(artifacts: &[(&str, String)]) -> Result<Vec<CompiledGrammar>, St
         .collect()
 }
 
+/// Which distinct inputs got a wrong verdict on some serving path.
+///
+/// Each distinct input is one operation of a run's `attempted` and `failed`
+/// counts, however often the timed loops serve it, so both counts depend on
+/// the seed alone and not on how fast the host is.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Wrong {
+    /// Per language, per `short` input.
+    pub short: Vec<Vec<bool>>,
+    /// Per language, per `long` input.
+    pub long: Vec<Vec<bool>>,
+}
+
+impl Wrong {
+    /// No wrong verdict yet for any input of `corpora`.
+    #[must_use]
+    pub fn new(corpora: &[LangCorpus]) -> Self {
+        Self {
+            short: corpora.iter().map(|c| vec![false; c.short.len()]).collect(),
+            long: corpora.iter().map(|c| vec![false; c.long.len()]).collect(),
+        }
+    }
+
+    /// Distinct inputs, both classes.
+    #[must_use]
+    pub fn inputs(&self) -> u64 {
+        self.short.iter().chain(&self.long).map(Vec::len).sum::<usize>() as u64
+    }
+
+    /// Distinct `short` and `long` inputs with a wrong verdict.
+    #[must_use]
+    pub fn counts(&self) -> (u64, u64) {
+        let count = |flags: &[Vec<bool>]| flags.iter().flatten().filter(|&&w| w).count() as u64;
+        (count(&self.short), count(&self.long))
+    }
+}
+
 /// What the timed raw-recognition phase measured.
 #[derive(Debug, Default)]
 pub struct RawPhase {
@@ -53,14 +90,6 @@ pub struct RawPhase {
     pub short_wall_inputs_per_s: f64,
     /// `long_kchars_per_s` unscaled: slices' median wall-clock times.
     pub long_wall_kchars_per_s: f64,
-    /// Recognitions run.
-    pub attempted: u64,
-    /// Recognitions whose verdict differs from the reference label.
-    pub failed: u64,
-    /// Distinct `short` inputs with a wrong verdict.
-    pub distinct_failed_short: u64,
-    /// Distinct `long` inputs with a wrong verdict.
-    pub distinct_failed_long: u64,
 }
 
 /// One timed unit of work: `(language index, input index)` pairs.
@@ -83,7 +112,8 @@ fn long_slices(corpora: &[LangCorpus]) -> Vec<Batch> {
 }
 
 /// Recognizes `short` passes for a quarter of `budget` and `long` slices for
-/// the rest, each class at least once in full, checking every verdict.
+/// the rest, each class at least once in full, marking every input whose
+/// verdict differs from the reference in `wrong`.
 ///
 /// The speed of a shared host drifts by half within seconds, so every pass
 /// and slice is followed by a short reference workload ([`host::slowdown`])
@@ -94,12 +124,9 @@ pub fn run_raw(
     corpora: &[LangCorpus],
     labels: &[Labels],
     budget: Duration,
+    wrong: &mut Wrong,
 ) -> RawPhase {
     let mut phase = RawPhase::default();
-    let mut wrong_short: Vec<Vec<bool>> =
-        corpora.iter().map(|c| vec![false; c.short.len()]).collect();
-    let mut wrong_long: Vec<Vec<bool>> =
-        corpora.iter().map(|c| vec![false; c.long.len()]).collect();
 
     let short_inputs: usize = corpora.iter().map(|c| c.short.len()).sum();
     let mut short_rates = Vec::new();
@@ -117,12 +144,10 @@ pub fn run_raw(
         short_wall.push(rate);
         short_rates.push(rate * host::slowdown());
         let expected = labels.iter().flat_map(|lab| &lab.short);
-        let wrong = wrong_short.iter_mut().flatten();
-        for ((verdict, want), wrong) in verdicts.into_iter().zip(expected).zip(wrong) {
-            *wrong |= verdict != *want;
-            phase.failed += u64::from(verdict != *want);
+        let flags = wrong.short.iter_mut().flatten();
+        for ((verdict, want), flag) in verdicts.into_iter().zip(expected).zip(flags) {
+            *flag |= verdict != *want;
         }
-        phase.attempted += short_inputs as u64;
     }
 
     let slices = long_slices(corpora);
@@ -143,20 +168,14 @@ pub fn run_raw(
         slice_wall[k].push(seconds);
         slice_times[k].push(seconds / host::slowdown());
         for (&(l, i), verdict) in slice.iter().zip(verdicts) {
-            let ok = verdict == labels[l].long[i];
-            wrong_long[l][i] |= !ok;
-            phase.failed += u64::from(!ok);
+            wrong.long[l][i] |= verdict != labels[l].long[i];
         }
-        phase.attempted += slice.len() as u64;
     }
     let long_chars: usize = corpora.iter().flat_map(|c| &c.long).map(|d| d.chars().count()).sum();
     let long_kchars = long_chars as f64 / 1e3;
     let per_second =
         |times: &[Vec<f64>]| long_kchars / times.iter().map(|t| median(t)).sum::<f64>();
 
-    let count = |wrong: &[Vec<bool>]| wrong.iter().flatten().filter(|&&w| w).count() as u64;
-    phase.distinct_failed_short = count(&wrong_short);
-    phase.distinct_failed_long = count(&wrong_long);
     phase.short_inputs_per_s = median(&short_rates);
     phase.long_kchars_per_s = per_second(&slice_times);
     phase.short_wall_inputs_per_s = median(&short_wall);
@@ -187,37 +206,42 @@ pub struct RawLayers {
     pub batch_inputs_per_s: f64,
 }
 
-/// Runs the scan/walk split once over both classes, then times `Session`
-/// and `recognize_batch` for `reps` passes each and keeps their medians.
+/// Runs the scan/walk split once over both classes, marking every input
+/// whose split verdict differs from the reference in `wrong`, then times
+/// `Session` and `recognize_batch` for `reps` passes each and keeps their
+/// medians.
 #[must_use]
 pub fn raw_layers(
     grammars: &[CompiledGrammar],
     corpora: &[LangCorpus],
     labels: &[Labels],
     reps: usize,
+    wrong: &mut Wrong,
 ) -> RawLayers {
     let mut layers = RawLayers::default();
     let mut words: Vec<Vec<String>> = Vec::new();
-    for ((g, c), lab) in grammars.iter().zip(corpora).zip(labels) {
+    for (l, ((g, c), lab)) in grammars.iter().zip(corpora).zip(labels).enumerate() {
         let mut converted = Vec::new();
         for (long, inputs, expected) in [(false, &c.short, &lab.short), (true, &c.long, &lab.long)]
         {
-            for (s, &want) in inputs.iter().zip(expected) {
+            for (i, (s, &want)) in inputs.iter().zip(expected).enumerate() {
                 let t = Instant::now();
                 let word = g.converted_word(black_box(s));
                 let scanned = t.elapsed().as_secs_f64();
                 let t = Instant::now();
                 let verdict = word.as_deref().is_some_and(|w| g.recognize_word(black_box(w)));
                 let walked = t.elapsed().as_secs_f64();
-                let wrong = u64::from(verdict != want);
+                let off = verdict != want;
                 if long {
                     layers.scan_long_s += scanned;
                     layers.walk_long_s += walked;
-                    layers.failed_long += wrong;
+                    layers.failed_long += u64::from(off);
+                    wrong.long[l][i] |= off;
                 } else {
                     layers.scan_short_s += scanned;
                     layers.walk_short_s += walked;
-                    layers.failed_short += wrong;
+                    layers.failed_short += u64::from(off);
+                    wrong.short[l][i] |= off;
                     converted.extend(word);
                 }
             }
@@ -272,5 +296,21 @@ mod tests {
         let expected: Vec<(usize, usize)> =
             (0..7).map(|i| (0, i)).chain((0..5).map(|i| (1, i))).collect();
         assert_eq!(all, expected);
+    }
+
+    #[test]
+    fn wrong_counts_each_distinct_input_once() {
+        let corpus = LangCorpus {
+            name: "a",
+            short: vec!["x".into(), "y".into(), "z".into()],
+            long: vec!["xy".into(), "yz".into()],
+        };
+        let mut wrong = Wrong::new(std::slice::from_ref(&corpus));
+        assert_eq!((wrong.inputs(), wrong.counts()), (5, (0, 0)));
+        for _ in 0..3 {
+            wrong.short[0][1] |= true;
+            wrong.long[0][0] |= true;
+        }
+        assert_eq!((wrong.inputs(), wrong.counts()), (5, (1, 1)));
     }
 }
