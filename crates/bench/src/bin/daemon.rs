@@ -235,14 +235,10 @@ fn main() {
 
     // The daemon itself, on an ephemeral port with an in-memory access log.
     let metrics = Arc::new(MetricsRegistry::new());
-    let (access_log, _jsonl) = AccessLog::in_memory();
-    let mut daemon = Daemon::start(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        Arc::clone(&metrics),
-        access_log.clone(),
-    )
-    .expect("daemon binds an ephemeral port");
+    let (access_log, jsonl) = AccessLog::in_memory();
+    let mut daemon =
+        Daemon::start("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&metrics), access_log)
+            .expect("daemon binds an ephemeral port");
     let addr = daemon.addr();
     eprintln!("daemon on {addr}: {} grammars, {clients} clients", plans.len());
 
@@ -315,7 +311,7 @@ fn main() {
     drop(admin);
 
     let snapshot = metrics.snapshot();
-    let records = access_log.records();
+    let records = jsonl.records();
     let access_records = records.iter().filter(|r| r.kind == "access").count();
     let reload_records = records.iter().filter(|r| r.kind == "reload").count();
     let audit = registry.audit();

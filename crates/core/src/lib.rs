@@ -82,9 +82,7 @@ pub use refine::{
     rule_liveness, CorpusEvidence, Evidence, EvidenceEquivalence, EvidenceSource, RefineConfig,
     RefineLog, RuleLiveness,
 };
-pub use sevpa_learner::{
-    ModuleSeed, ObservationSeed, SevpaLearner, SevpaLearnerConfig, TaggedAlphabet,
-};
+pub use sevpa_learner::{ModuleSeed, ObservationSeed, SevpaLearner, TaggedAlphabet};
 pub use tag_infer::tag_infer;
 pub use token_infer::{token_infer, TokenInferConfig};
 pub use tokenizer::{PartialTokenizer, TokenKind, TokenMatcher, TokenPair};

@@ -17,9 +17,7 @@ use crate::equivalence::{
 use crate::error::VStarError;
 use crate::mat::Mat;
 use crate::refine::{EvidenceEquivalence, EvidenceSource, RefineConfig, RefineLog};
-use crate::sevpa_learner::{
-    Hypothesis, ObservationSeed, SevpaLearner, SevpaLearnerConfig, TaggedAlphabet,
-};
+use crate::sevpa_learner::{Hypothesis, ObservationSeed, SevpaLearner, TaggedAlphabet};
 use crate::tag_infer::{tag_infer, TagInferConfig};
 use crate::token_infer::{token_infer, TokenInferConfig};
 use crate::tokenizer::{strip_markers, PartialTokenizer};
@@ -45,8 +43,6 @@ pub struct VStarConfig {
     pub tag_config: TagInferConfig,
     /// Token inference options (used in [`TokenDiscovery::Tokens`]).
     pub token_config: TokenInferConfig,
-    /// VPA-learner options.
-    pub learner: SevpaLearnerConfig,
     /// Test-string pool options (simulated equivalence queries).
     pub test_pool: TestPoolConfig,
     /// Optional warm-start seed for the k-SEVPA observation structure:
@@ -400,8 +396,7 @@ impl VStar {
             TokenDiscovery::Characters => Box::new(move |w: &str| mat.member(w)),
             TokenDiscovery::Tokens => Box::new(move |w: &str| mat.member(&strip_markers(w))),
         };
-        let mut learner =
-            SevpaLearner::new(&membership, tagged_alphabet, self.config.learner.clone());
+        let mut learner = SevpaLearner::new(&membership, tagged_alphabet);
         if let Some(seed) = &self.config.hypothesis_seed {
             learner.seed_observations(seed);
         }

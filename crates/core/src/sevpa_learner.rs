@@ -10,10 +10,21 @@
 //! Counterexamples from (simulated) equivalence queries are processed with the
 //! binary-search analysis of Proposition 4.3.
 //!
+//! Each equivalence is decided once. Every module keeps a *successor table*
+//! mapping a candidate word (a one-step extension of an access word) to the
+//! index of the first access word equivalent to it. Closing the structure fills
+//! the table, and the hypothesis reads its plain and return transitions from it,
+//! so construction queries membership only for module-0 acceptance. A recorded
+//! match stays valid while the module's tests are unchanged, because access
+//! words are only ever appended; the one invalidation rule is that adding a
+//! test to a module clears that module's table.
+//!
 //! The learner is agnostic to whether the call/return characters are real oracle
 //! characters (paper §4) or the artificial markers inserted by `conv_τ` (paper §5):
 //! it only sees a [`TaggedAlphabet`] and a membership function over strings in that
 //! alphabet.
+
+use std::collections::HashMap;
 
 use vstar_vpl::vpa::StackSymId;
 use vstar_vpl::{Kind, StateId, Tagging, Vpa, VpaBuilder};
@@ -65,20 +76,10 @@ impl TaggedAlphabet {
     }
 }
 
-/// Configuration for the [`SevpaLearner`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SevpaLearnerConfig {
-    /// Maximum number of counterexample rounds before giving up.
-    pub max_ce_rounds: usize,
-    /// Safety bound on the total number of states.
-    pub max_states: usize,
-}
-
-impl Default for SevpaLearnerConfig {
-    fn default() -> Self {
-        SevpaLearnerConfig { max_ce_rounds: 200, max_states: 4000 }
-    }
-}
+/// Maximum number of counterexample rounds before the learner gives up.
+const MAX_CE_ROUNDS: usize = 200;
+/// Safety bound on the total number of states.
+const MAX_STATES: usize = 4000;
 
 /// A test word: a context `(u, v)`; the test of an access word `q` is the
 /// membership of `u · q · v`. Module 0 uses contexts with `u = ε`.
@@ -92,6 +93,21 @@ struct Test {
 struct Module {
     access: Vec<String>,
     tests: Vec<Test>,
+    /// Candidate word → index of its first equivalent access word under
+    /// `tests`; cleared whenever a test is added.
+    successors: HashMap<String, usize>,
+}
+
+impl Module {
+    /// Adds a test unless already present, invalidating the successor table.
+    fn add_test(&mut self, test: Test) -> bool {
+        if self.tests.contains(&test) {
+            return false;
+        }
+        self.tests.push(test);
+        self.successors.clear();
+        true
+    }
 }
 
 /// Seed material for one module of the observation structure: access words and
@@ -164,7 +180,6 @@ pub struct LearnerStats {
 pub struct SevpaLearner<'a> {
     member: &'a dyn Fn(&str) -> bool,
     alphabet: TaggedAlphabet,
-    config: SevpaLearnerConfig,
     modules: Vec<Module>,
     stats: LearnerStats,
 }
@@ -182,11 +197,7 @@ impl<'a> SevpaLearner<'a> {
     /// Creates a learner for the language decided by `member` (a membership function
     /// over strings in the tagged alphabet).
     #[must_use]
-    pub fn new(
-        member: &'a dyn Fn(&str) -> bool,
-        alphabet: TaggedAlphabet,
-        config: SevpaLearnerConfig,
-    ) -> Self {
+    pub fn new(member: &'a dyn Fn(&str) -> bool, alphabet: TaggedAlphabet) -> Self {
         let k = alphabet.tagging().pair_count();
         let ret_chars = alphabet.ret_chars();
         let call_chars = alphabet.call_chars();
@@ -205,7 +216,7 @@ impl<'a> SevpaLearner<'a> {
                 }
             }
         }
-        SevpaLearner { member, alphabet, config, modules, stats: LearnerStats::default() }
+        SevpaLearner { member, alphabet, modules, stats: LearnerStats::default() }
     }
 
     /// Statistics of the run so far.
@@ -232,10 +243,21 @@ impl<'a> SevpaLearner<'a> {
         })
     }
 
-    /// Index of an access word of module `i` equivalent to `s`, if any.
+    /// Index of the first access word of module `i` equivalent to `s`, if any.
     fn find_equivalent(&self, module: usize, s: &str) -> Option<usize> {
-        (0..self.modules[module].access.len())
-            .find(|&idx| self.equivalent(module, &self.modules[module].access[idx].clone(), s))
+        self.modules[module].access.iter().position(|q| self.equivalent(module, q, s))
+    }
+
+    /// The successor table lookup: index of the first access word of `module`
+    /// equivalent to `word`, decided by [`Self::find_equivalent`] once per
+    /// module test set and recorded.
+    fn successor(&mut self, module: usize, word: &str) -> Option<usize> {
+        if let Some(&idx) = self.modules[module].successors.get(word) {
+            return Some(idx);
+        }
+        let idx = self.find_equivalent(module, word)?;
+        self.modules[module].successors.insert(word.to_string(), idx);
+        Some(idx)
     }
 
     /// The current extension set Σ_M: plain characters plus the nested words
@@ -263,14 +285,13 @@ impl<'a> SevpaLearner<'a> {
             let mut added = false;
             let extensions = self.extensions();
             for module_idx in 0..self.modules.len() {
-                let access_words = self.modules[module_idx].access.clone();
-                for q in &access_words {
+                for q_idx in 0..self.modules[module_idx].access.len() {
                     for m in &extensions {
-                        let candidate = format!("{q}{m}");
-                        if self.find_equivalent(module_idx, &candidate).is_none() {
+                        let candidate = format!("{}{m}", self.modules[module_idx].access[q_idx]);
+                        if self.successor(module_idx, &candidate).is_none() {
                             self.modules[module_idx].access.push(candidate);
                             added = true;
-                            if self.state_count() >= self.config.max_states {
+                            if self.state_count() >= MAX_STATES {
                                 return;
                             }
                         }
@@ -292,73 +313,53 @@ impl<'a> SevpaLearner<'a> {
         self.modules.iter().map(|m| m.access.len()).sum()
     }
 
-    fn state_id(&self, module: usize, idx: usize) -> StateId {
-        let offset: usize = self.modules[..module].iter().map(|m| m.access.len()).sum();
-        StateId(offset + idx)
-    }
-
     /// Definition 4.3: read a hypothesis VPA off the closed, separable structure.
+    /// Every plain and return target is read through the successor table, so
+    /// after a completed [`Self::close`] construction queries membership only
+    /// for module-0 acceptance.
     fn construct_vpa(&mut self) -> Hypothesis {
         let call_chars = self.alphabet.call_chars();
         let ret_chars = self.alphabet.ret_chars();
+        let plain = self.alphabet.plain.clone();
+        let calls = call_chars.len();
         let mut builder = VpaBuilder::new(self.alphabet.tagging().clone());
 
+        // States are numbered module by module, in access-word order.
+        let mut offsets = Vec::with_capacity(self.modules.len());
         let mut states: Vec<(usize, String)> = Vec::new();
         for (i, module) in self.modules.iter().enumerate() {
-            for q in &module.access {
-                states.push((i, q.clone()));
-            }
+            offsets.push(states.len());
+            states.extend(module.access.iter().map(|q| (i, q.clone())));
         }
-        let state_ids = builder.add_states(states.len());
+        let state_id = |module: usize, idx: usize| StateId(offsets[module] + idx);
+        builder.add_states(states.len());
 
-        builder.set_initial(self.state_id(0, 0));
+        builder.set_initial(state_id(0, 0));
         // Accepting states: module-0 access words that are members.
-        let accepting: Vec<usize> = self.modules[0]
-            .access
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| self.member(q))
-            .map(|(idx, _)| idx)
-            .collect();
-        for idx in accepting {
-            builder.add_accepting(self.state_id(0, idx));
+        for (idx, q) in self.modules[0].access.iter().enumerate() {
+            if self.member(q) {
+                builder.add_accepting(state_id(0, idx));
+            }
         }
 
-        // One stack symbol per (source state, call character).
-        let mut stack_syms: Vec<(StateId, char)> = Vec::new();
-        let stack_sym_id = |builder: &mut VpaBuilder,
-                            stack_syms: &mut Vec<(StateId, char)>,
-                            state: StateId,
-                            call: char|
-         -> StackSymId {
-            if let Some(pos) = stack_syms.iter().position(|&(s, c)| s == state && c == call) {
-                StackSymId(pos)
-            } else {
-                let id = builder.add_stack_symbol();
-                stack_syms.push((state, call));
-                id
-            }
-        };
-
-        // Call transitions: from every state, on ‹a_j, push (state, ‹a_j) and move to
-        // the entry state of module j.
-        for (sid, _) in states.iter().enumerate() {
-            let from = state_ids[sid];
+        // Call transitions: from every state, on ‹a_j, push the stack symbol
+        // `state * calls + j` standing for (state, ‹a_j) and move to the entry
+        // state of module j.
+        let mut stack_syms: Vec<(StateId, char)> = Vec::with_capacity(states.len() * calls);
+        for from in (0..states.len()).map(StateId) {
             for (j, &a) in call_chars.iter().enumerate() {
-                let gamma = stack_sym_id(&mut builder, &mut stack_syms, from, a);
-                let entry = self.state_id(j + 1, 0);
-                builder.call(from, a, entry, gamma).expect("valid call transition");
+                let gamma = builder.add_stack_symbol();
+                stack_syms.push((from, a));
+                builder.call(from, a, state_id(j + 1, 0), gamma).expect("valid call transition");
             }
         }
 
         // Plain transitions inside each module.
         for (sid, (module, q)) in states.iter().enumerate() {
-            let from = state_ids[sid];
-            for &c in &self.alphabet.plain.clone() {
-                let candidate = format!("{q}{c}");
-                if let Some(target_idx) = self.find_equivalent(*module, &candidate) {
-                    let to = self.state_id(*module, target_idx);
-                    builder.plain(from, c, to).expect("valid plain transition");
+            for &c in &plain {
+                if let Some(target_idx) = self.successor(*module, &format!("{q}{c}")) {
+                    let to = state_id(*module, target_idx);
+                    builder.plain(StateId(sid), c, to).expect("valid plain transition");
                 }
             }
         }
@@ -369,20 +370,14 @@ impl<'a> SevpaLearner<'a> {
             if *module_i == 0 {
                 continue;
             }
-            let from = state_ids[sid];
             let a_i = call_chars[*module_i - 1];
             for &b in &ret_chars {
-                for (gamma_idx, &(push_state, call)) in stack_syms.clone().iter().enumerate() {
-                    if call != a_i {
-                        continue;
-                    }
-                    let (module_j, q_prime) = states[push_state.0].clone();
+                for (push, (module_j, q_prime)) in states.iter().enumerate() {
                     let combined = format!("{q_prime}{a_i}{q}{b}");
-                    if let Some(target_idx) = self.find_equivalent(module_j, &combined) {
-                        let to = self.state_id(module_j, target_idx);
-                        builder
-                            .ret(from, b, StackSymId(gamma_idx), to)
-                            .expect("valid return transition");
+                    if let Some(target_idx) = self.successor(*module_j, &combined) {
+                        let gamma = StackSymId(push * calls + *module_i - 1);
+                        let to = state_id(*module_j, target_idx);
+                        builder.ret(StateId(sid), b, gamma, to).expect("valid return transition");
                     }
                 }
             }
@@ -434,9 +429,6 @@ impl<'a> SevpaLearner<'a> {
         }
         let trace = hyp.vpa.trace_tagged(&tagged);
         if !trace.completed() {
-            if std::env::var_os("VSTAR_DEBUG_LEARNER").is_some() {
-                eprintln!("[learner] trace stuck at {:?} on counterexample {ce:?}", trace.stuck_at);
-            }
             // The hypothesis rejects by getting stuck; the counterexample is
             // then a member (or an ill-matched word the strategy should not
             // have sent — strategies only report disagreements, and a stuck
@@ -458,9 +450,6 @@ impl<'a> SevpaLearner<'a> {
         debug_assert!(correct(self, 0), "the initial state is always correct");
         if correct(self, n) {
             // The final state agrees with the oracle: spurious counterexample.
-            if std::env::var_os("VSTAR_DEBUG_LEARNER").is_some() {
-                eprintln!("[learner] final state already correct on counterexample {ce:?}");
-            }
             return Ok(false);
         }
         let (mut lo, mut hi) = (0usize, n);
@@ -483,20 +472,11 @@ impl<'a> SevpaLearner<'a> {
             Kind::Call => {
                 // Proposition 4.3 proves s[i+1] cannot be a call symbol; if the
                 // approximate tests put us here anyway, report no progress.
-                if std::env::var_os("VSTAR_DEBUG_LEARNER").is_some() {
-                    eprintln!(
-                        "[learner] counterexample analysis landed on a call symbol in {ce:?}"
-                    );
-                }
                 Ok(false)
             }
             Kind::Plain => {
                 let new_access = format!("{access_i}{}", sym.ch);
-                let progressed = self.refine(module_i, new_access, w_next, w_next_suffix);
-                if !progressed && std::env::var_os("VSTAR_DEBUG_LEARNER").is_some() {
-                    eprintln!("[learner] plain refinement made no progress on {ce:?}");
-                }
-                Ok(progressed)
+                Ok(self.refine(module_i, new_access, w_next, w_next_suffix))
             }
             Kind::Return => {
                 let Some(&gamma) = trace.configs[i].stack.last() else {
@@ -505,11 +485,7 @@ impl<'a> SevpaLearner<'a> {
                 let (push_state, call) = hyp.stack_syms[gamma.0];
                 let (module_j, access_push) = hyp.states[push_state.0].clone();
                 let new_access = format!("{access_push}{call}{access_i}{}", sym.ch);
-                let progressed = self.refine(module_j, new_access, w_next, w_next_suffix);
-                if !progressed && std::env::var_os("VSTAR_DEBUG_LEARNER").is_some() {
-                    eprintln!("[learner] return refinement made no progress on {ce:?}");
-                }
-                Ok(progressed)
+                Ok(self.refine(module_j, new_access, w_next, w_next_suffix))
             }
         }
     }
@@ -517,15 +493,10 @@ impl<'a> SevpaLearner<'a> {
     /// Adds an access word and a distinguishing test to a module. Returns `true`
     /// if anything new was added.
     fn refine(&mut self, module: usize, access: String, prefix: String, suffix: String) -> bool {
-        let test = Test { prefix, suffix };
-        let module_ref = &mut self.modules[module];
-        let mut added = false;
-        if !module_ref.tests.contains(&test) {
-            module_ref.tests.push(test);
-            added = true;
-        }
-        if !module_ref.access.contains(&access) {
-            module_ref.access.push(access);
+        let module = &mut self.modules[module];
+        let mut added = module.add_test(Test { prefix, suffix });
+        if !module.access.contains(&access) {
+            module.access.push(access);
             added = true;
         }
         added
@@ -550,7 +521,7 @@ impl<'a> SevpaLearner<'a> {
             let _row_fill = vstar_telemetry::span("row-fill");
             self.close();
         }
-        for round in 0..self.config.max_ce_rounds {
+        for round in 0..MAX_CE_ROUNDS {
             vstar_telemetry::counter("learner.rounds", 1);
             let hypothesis = {
                 let _construct = vstar_telemetry::span("hypothesis-construction");
@@ -584,7 +555,7 @@ impl<'a> SevpaLearner<'a> {
                 }
             }
         }
-        Err(VStarError::LearnerDidNotConverge { rounds: self.config.max_ce_rounds })
+        Err(VStarError::LearnerDidNotConverge { rounds: MAX_CE_ROUNDS })
     }
 
     /// Journals the dimensions of a freshly constructed hypothesis: the
@@ -627,9 +598,7 @@ impl<'a> SevpaLearner<'a> {
             }
             for (prefix, suffix) in &module_seed.tests {
                 let test = Test { prefix: prefix.clone(), suffix: suffix.clone() };
-                if !self.modules[module_idx].tests.contains(&test) {
-                    self.modules[module_idx].tests.push(test);
-                }
+                self.modules[module_idx].add_test(test);
             }
         }
         let mut admitted = 0;
@@ -638,13 +607,13 @@ impl<'a> SevpaLearner<'a> {
                 break;
             }
             for access in &module_seed.access {
-                if self.state_count() >= self.config.max_states {
+                if self.state_count() >= MAX_STATES {
                     return admitted;
                 }
                 if self.modules[module_idx].access.contains(access) {
                     continue;
                 }
-                if self.find_equivalent(module_idx, access).is_none() {
+                if self.successor(module_idx, access).is_none() {
                     self.modules[module_idx].access.push(access.clone());
                     admitted += 1;
                 }
@@ -750,8 +719,7 @@ mod tests {
     fn learns_dyck_exactly_with_bounded_equivalence() {
         let member: &dyn Fn(&str) -> bool = &dyck;
         let alphabet = dyck_alphabet();
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let hyp = learner
             .learn(|hyp| exhaustive_disagreement(&dyck, hyp, &alphabet, 6))
             .expect("learning succeeds");
@@ -775,8 +743,7 @@ mod tests {
         }
         let member: &dyn Fn(&str) -> bool = &lang;
         let alphabet = dyck_alphabet();
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let hyp = learner
             .learn(|hyp| exhaustive_disagreement(&lang, hyp, &alphabet, 7))
             .expect("learning succeeds");
@@ -795,8 +762,7 @@ mod tests {
         }
         let member: &dyn Fn(&str) -> bool = &lang;
         let alphabet = TaggedAlphabet::new(Tagging::new(), vec!['a', 'b']);
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let hyp = learner
             .learn(|hyp| exhaustive_disagreement(&lang, hyp, &alphabet, 6))
             .expect("learning succeeds");
@@ -804,37 +770,71 @@ mod tests {
         assert_eq!(hyp.vpa.state_count(), 2);
     }
 
+    /// a D b | c D d | x, where D is the same language (two distinct pairs).
+    fn two_pair(s: &str) -> bool {
+        fn expr(s: &[u8], pos: usize) -> Option<usize> {
+            match s.get(pos) {
+                Some(b'x') => Some(pos + 1),
+                Some(b'a') => {
+                    let p = expr(s, pos + 1)?;
+                    (s.get(p) == Some(&b'b')).then_some(p + 1)
+                }
+                Some(b'c') => {
+                    let p = expr(s, pos + 1)?;
+                    (s.get(p) == Some(&b'd')).then_some(p + 1)
+                }
+                _ => None,
+            }
+        }
+        expr(s.as_bytes(), 0) == Some(s.len())
+    }
+
+    fn two_pair_alphabet() -> TaggedAlphabet {
+        TaggedAlphabet::new(Tagging::from_pairs([('a', 'b'), ('c', 'd')]).unwrap(), vec!['x'])
+    }
+
     #[test]
     fn learns_two_pair_language() {
-        // a D b | c D d | x, where D is the same language (two distinct pairs).
-        fn lang(s: &str) -> bool {
-            fn expr(s: &[u8], pos: usize) -> Option<usize> {
-                match s.get(pos) {
-                    Some(b'x') => Some(pos + 1),
-                    Some(b'a') => {
-                        let p = expr(s, pos + 1)?;
-                        (s.get(p) == Some(&b'b')).then_some(p + 1)
-                    }
-                    Some(b'c') => {
-                        let p = expr(s, pos + 1)?;
-                        (s.get(p) == Some(&b'd')).then_some(p + 1)
-                    }
-                    _ => None,
-                }
-            }
-            expr(s.as_bytes(), 0) == Some(s.len())
-        }
-        let member: &dyn Fn(&str) -> bool = &lang;
-        let alphabet =
-            TaggedAlphabet::new(Tagging::from_pairs([('a', 'b'), ('c', 'd')]).unwrap(), vec!['x']);
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let member: &dyn Fn(&str) -> bool = &two_pair;
+        let alphabet = two_pair_alphabet();
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let hyp = learner
-            .learn(|hyp| exhaustive_disagreement(&lang, hyp, &alphabet, 6))
+            .learn(|hyp| exhaustive_disagreement(&two_pair, hyp, &alphabet, 6))
             .expect("learning succeeds");
-        assert!(exhaustive_disagreement(&lang, &hyp, &alphabet, 7).is_none());
+        assert!(exhaustive_disagreement(&two_pair, &hyp, &alphabet, 7).is_none());
         assert!(hyp.vpa.accepts("acxdb"));
         assert!(!hyp.vpa.accepts("acxbd"));
+    }
+
+    #[test]
+    fn construction_after_closure_queries_only_module_0_acceptance() {
+        let calls = std::cell::Cell::new(0usize);
+        let counting = |s: &str| {
+            calls.set(calls.get() + 1);
+            two_pair(s)
+        };
+        let member: &dyn Fn(&str) -> bool = &counting;
+        let alphabet = two_pair_alphabet();
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
+        let close_then_construct = |learner: &mut SevpaLearner<'_>| {
+            learner.close();
+            calls.set(0);
+            let hyp = learner.construct_vpa();
+            assert!(calls.get() <= learner.modules[0].access.len(), "{} calls", calls.get());
+            hyp
+        };
+        close_then_construct(&mut learner);
+        let hyp = learner
+            .learn(|hyp| exhaustive_disagreement(&two_pair, hyp, &alphabet, 6))
+            .expect("learning succeeds");
+        // A new test clears its module's table; closing refills it.
+        let seed = ObservationSeed {
+            modules: vec![ModuleSeed { access: Vec::new(), tests: vec![("a".into(), "b".into())] }],
+        };
+        learner.seed_observations(&seed);
+        assert!(learner.modules[0].successors.is_empty());
+        let rebuilt = close_then_construct(&mut learner);
+        assert_eq!(format!("{:?}", rebuilt.vpa), format!("{:?}", hyp.vpa));
     }
 
     #[test]
@@ -878,8 +878,7 @@ mod tests {
             Tagging::from_pairs([('a', 'b')]).unwrap(),
             vec!['c', 'd', 'g', 'h'],
         );
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let hyp = learner
             .learn(|hyp| exhaustive_disagreement(&fig1, hyp, &alphabet, 6))
             .expect("learning succeeds");
@@ -893,8 +892,7 @@ mod tests {
     fn seed_observations_admits_only_inequivalent_access_words() {
         let member: &dyn Fn(&str) -> bool = &dyck;
         let alphabet = dyck_alphabet();
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let seed = ObservationSeed {
             modules: vec![
                 ModuleSeed {
@@ -933,8 +931,7 @@ mod tests {
         }
         let member: &dyn Fn(&str) -> bool = &lang;
         let alphabet = dyck_alphabet();
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let seed = ObservationSeed {
             modules: vec![ModuleSeed { access: vec!["x".into()], tests: Vec::new() }],
         };
@@ -949,7 +946,7 @@ mod tests {
     fn test_pool_equivalence_variant() {
         let member: &dyn Fn(&str) -> bool = &dyck;
         let alphabet = dyck_alphabet();
-        let mut learner = SevpaLearner::new(member, alphabet, SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet);
         // A pool rich enough to learn Dyck exactly.
         let pool: Vec<String> = vstar_vpl::words::all_strings(&['(', ')', 'x'], 6);
         let hyp = learner.learn_with_test_pool(&pool).expect("learning succeeds");
@@ -962,8 +959,7 @@ mod tests {
     fn stats_and_debug() {
         let member: &dyn Fn(&str) -> bool = &dyck;
         let alphabet = dyck_alphabet();
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let _ = learner.learn(|hyp| exhaustive_disagreement(&dyck, hyp, &alphabet, 5)).unwrap();
         assert!(learner.stats().equivalence_queries >= 1);
         assert!(format!("{learner:?}").contains("SevpaLearner"));
@@ -977,7 +973,7 @@ mod tests {
         }
         let member: &dyn Fn(&str) -> bool = &lang;
         let alphabet = dyck_alphabet();
-        let mut learner = SevpaLearner::new(member, alphabet, SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet);
         let result = learner.learn(|_| Some(")(".to_string()));
         assert!(matches!(result, Err(VStarError::IncompatibleCounterexample { .. })));
     }

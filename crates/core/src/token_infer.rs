@@ -256,12 +256,6 @@ fn token_search(
             }
         }
     }
-    if std::env::var_os("VSTAR_DEBUG_TOKENS").is_some() {
-        eprintln!(
-            "[token_infer] no viable token pair for pattern {pattern} (current tokenizer has {} pair(s))",
-            tokenizer.pair_count()
-        );
-    }
     None
 }
 

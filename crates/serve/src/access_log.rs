@@ -30,6 +30,37 @@ impl SharedBuf {
     pub fn contents(&self) -> Vec<u8> {
         self.0.lock().expect("no panics under this lock").clone()
     }
+
+    /// The records written so far, parsed back from their JSON lines, in
+    /// `seq` order.
+    ///
+    /// # Panics
+    ///
+    /// If the buffer holds anything but [`AccessLog`] lines.
+    #[must_use]
+    pub fn records(&self) -> Vec<JournalEvent> {
+        let text = String::from_utf8(self.contents()).expect("access logs are UTF-8");
+        text.lines()
+            .map(|line| {
+                let doc = serde_json::from_str(line).expect("one JSON record per line");
+                let u64_of = |v: &serde::Value| v.as_u64().expect("integer field");
+                let str_of = |key| doc.get(key).and_then(serde::Value::as_str).expect(key);
+                let fields = match doc.get("fields") {
+                    Some(serde::Value::Object(fields)) => {
+                        fields.iter().map(|(k, v)| (k.clone(), u64_of(v))).collect()
+                    }
+                    _ => panic!("record without fields: {line}"),
+                };
+                JournalEvent {
+                    seq: u64_of(doc.get("seq").expect("seq")),
+                    kind: str_of("kind").to_string(),
+                    path: str_of("path").to_string(),
+                    name: str_of("name").to_string(),
+                    fields,
+                }
+            })
+            .collect()
+    }
 }
 
 impl Write for SharedBuf {
@@ -45,11 +76,10 @@ impl Write for SharedBuf {
 struct LogInner {
     sink: Box<dyn Write + Send>,
     seq: u64,
-    records: Vec<JournalEvent>,
 }
 
 /// A thread-safe JSONL access log: every record goes to the sink as one JSON
-/// line and is retained in memory for gates ([`AccessLog::records`]).
+/// line and nowhere else; gates read records back with [`SharedBuf::records`].
 #[derive(Clone)]
 pub struct AccessLog {
     inner: Arc<Mutex<LogInner>>,
@@ -58,7 +88,7 @@ pub struct AccessLog {
 impl std::fmt::Debug for AccessLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock().expect("no panics under this lock");
-        f.debug_struct("AccessLog").field("records", &inner.records.len()).finish()
+        f.debug_struct("AccessLog").field("records", &inner.seq).finish()
     }
 }
 
@@ -66,7 +96,7 @@ impl AccessLog {
     /// A log writing JSONL to `sink`.
     #[must_use]
     pub fn new(sink: Box<dyn Write + Send>) -> Self {
-        AccessLog { inner: Arc::new(Mutex::new(LogInner { sink, seq: 0, records: Vec::new() })) }
+        AccessLog { inner: Arc::new(Mutex::new(LogInner { sink, seq: 0 })) }
     }
 
     /// An in-memory log; the returned [`SharedBuf`] reads back the JSONL.
@@ -78,14 +108,13 @@ impl AccessLog {
 
     /// Appends one record, assigning the next `seq` and writing its JSON
     /// line. Sink write failures are swallowed (logging must never take the
-    /// serve path down); the in-memory copy is kept regardless.
+    /// serve path down).
     pub fn push(&self, kind: &str, path: String, name: String, fields: BTreeMap<String, u64>) {
         let mut inner = self.inner.lock().expect("no panics under this lock");
         let event = JournalEvent { seq: inner.seq, kind: kind.to_string(), path, name, fields };
         inner.seq += 1;
         let line = serde_json::to_string(&event).expect("journal events serialize");
         let _ = writeln!(inner.sink, "{line}");
-        inner.records.push(event);
     }
 
     /// One `"access"` record: a request against `grammar`@`version` from
@@ -121,12 +150,6 @@ impl AccessLog {
         }
         self.push("reload", audit.grammar.clone(), "reload".to_string(), fields);
     }
-
-    /// Every record pushed so far, in `seq` order.
-    #[must_use]
-    pub fn records(&self) -> Vec<JournalEvent> {
-        self.inner.lock().expect("no panics under this lock").records.clone()
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +169,7 @@ mod tests {
             new_hash: 0xbeef,
         });
 
-        let records = log.records();
+        let records = buf.records();
         assert_eq!(records.len(), 3);
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r.seq, i as u64);
@@ -168,7 +191,7 @@ mod tests {
             assert!(line.starts_with('{') && line.ends_with('}'), "not JSONL: {line}");
         }
         // First-publish reloads omit old_hash entirely.
-        let (log, _) = AccessLog::in_memory();
+        let (log, buf) = AccessLog::in_memory();
         log.reload(&crate::ReloadAudit {
             generation: 1,
             grammar: "g".into(),
@@ -176,16 +199,18 @@ mod tests {
             old_hash: None,
             new_hash: 1,
         });
-        assert!(!log.records()[0].fields.contains_key("old_hash"));
+        assert!(!buf.records()[0].fields.contains_key("old_hash"));
     }
 
     #[test]
     fn log_is_shared_across_clones() {
-        let (log, _) = AccessLog::in_memory();
+        let (log, buf) = AccessLog::in_memory();
         let clone = log.clone();
         log.access("g", 1, "a", true, 1, 1, 1);
         clone.access("g", 1, "b", false, 2, 1, 1);
-        assert_eq!(log.records().len(), 2);
-        assert_eq!(log.records()[1].seq, 1);
+        let records = buf.records();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].seq, 1);
+        assert_eq!(format!("{log:?}"), "AccessLog { records: 2 }");
     }
 }

@@ -60,6 +60,9 @@ impl Client {
     /// Connection failure, or any error reply to the hello.
     pub fn connect(addr: impl ToSocketAddrs, label: &str) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        // A frame goes out as two writes (length, then payload); without
+        // TCP_NODELAY the payload waits for the peer's delayed ACK.
+        stream.set_nodelay(true)?;
         let mut client = Client { stream };
         if !label.is_empty() {
             let mut payload = vec![op::HELLO];

@@ -175,6 +175,8 @@ impl Connection<'_> {
 /// until the peer hangs up or the wire breaks.
 fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     let n = shared.conn_counter.fetch_add(1, Ordering::Relaxed);
+    // Replies over the `BufWriter` capacity leave as two writes; see `Client::connect`.
+    stream.set_nodelay(true)?;
     let mut reader = stream.try_clone()?;
     let mut writer = BufWriter::new(stream);
     let mut conn = Connection {

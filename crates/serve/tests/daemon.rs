@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use vstar_parser::CompiledGrammar;
-use vstar_serve::{AccessLog, Client, ClientError, Daemon, GrammarRegistry};
+use vstar_serve::{AccessLog, Client, ClientError, Daemon, GrammarRegistry, SharedBuf};
 use vstar_telemetry::MetricsRegistry;
 use vstar_vpl::grammar::figure1_grammar;
 use vstar_vpl::{Tagging, VpgBuilder};
@@ -35,20 +35,17 @@ fn multibyte() -> (CompiledGrammar, char, char) {
     (CompiledGrammar::from_vpg(&b.build(s).unwrap()).unwrap(), call, ret)
 }
 
-fn start_daemon() -> (Daemon, Arc<GrammarRegistry>, Arc<MetricsRegistry>, AccessLog) {
+/// A daemon serving `fig1` and `dyck`, with the JSONL of its access log.
+fn start_daemon() -> (Daemon, Arc<GrammarRegistry>, Arc<MetricsRegistry>, SharedBuf) {
     let registry = Arc::new(GrammarRegistry::new());
     registry.publish("fig1", CompiledGrammar::from_vpg(&figure1_grammar()).unwrap());
     registry.publish("dyck", dyck());
     let metrics = Arc::new(MetricsRegistry::new());
-    let (access_log, _) = AccessLog::in_memory();
-    let daemon = Daemon::start(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        Arc::clone(&metrics),
-        access_log.clone(),
-    )
-    .unwrap();
-    (daemon, registry, metrics, access_log)
+    let (access_log, jsonl) = AccessLog::in_memory();
+    let daemon =
+        Daemon::start("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&metrics), access_log)
+            .unwrap();
+    (daemon, registry, metrics, jsonl)
 }
 
 #[test]
@@ -243,6 +240,21 @@ fn chunk_boundaries_mid_codepoint_never_change_verdicts() {
     let snap = metrics.snapshot();
     assert_eq!(snap.totals.requests, requests);
     assert_eq!(snap.totals.errors, 0);
+}
+
+/// Each request frame leaves the client as two writes (length, payload). On
+/// a socket without TCP_NODELAY the second write waits for the daemon's
+/// delayed ACK, about 40 ms a request; 50 requests then take seconds.
+#[test]
+fn sequential_requests_do_not_wait_for_delayed_acks() {
+    let (daemon, _registry, _metrics, _log) = start_daemon();
+    let mut client = Client::connect(daemon.addr(), "sequential").unwrap();
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        assert!(client.recognize("dyck", "(x)").unwrap());
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < std::time::Duration::from_secs(1), "50 requests took {elapsed:?}");
 }
 
 #[test]
