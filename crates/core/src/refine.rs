@@ -377,8 +377,12 @@ impl EquivalenceStrategy for EvidenceEquivalence<'_> {
             let round = self.log.campaigns_run;
             self.log.campaigns_run += 1;
             vstar_telemetry::counter("refine.campaigns", 1);
-            let learned = hypothesis_language(cx);
-            let liveness = rule_liveness(learned.vpg());
+            let (learned, liveness) = {
+                let _hypothesis_language = vstar_telemetry::span("hypothesis-language");
+                let learned = hypothesis_language(cx);
+                let liveness = rule_liveness(learned.vpg());
+                (learned, liveness)
+            };
             self.log.pre_liveness.get_or_insert(liveness);
             self.log.post_liveness = Some(liveness);
             // Snapshot the telemetry query counters around the collection so

@@ -10,14 +10,21 @@
 //! Counterexamples from (simulated) equivalence queries are processed with the
 //! binary-search analysis of Proposition 4.3.
 //!
-//! Each equivalence is decided once. Every module keeps a *successor table*
-//! mapping a candidate word (a one-step extension of an access word) to the
-//! index of the first access word equivalent to it. Closing the structure fills
-//! the table, and the hypothesis reads its plain and return transitions from it,
-//! so construction queries membership only for module-0 acceptance. A recorded
-//! match stays valid while the module's tests are unchanged, because access
-//! words are only ever appended; the one invalidation rule is that adding a
-//! test to a module clears that module's table.
+//! Each module keeps an observation table. Every word it meets — access word
+//! or candidate (a one-step extension of an access word) — gets a row, and a
+//! row holds one cell per module test, filled lazily: two words are compared
+//! test by test in test order, and `member` is asked only for a cell still
+//! unknown, so each (word, test) membership is asked at most once and the
+//! first-time queries come in the order a table-free comparison would ask them.
+//! A row also records its successor entry: the first equivalent access word
+//! and the number of tests it was checked against. Tests and access words are
+//! only ever appended, so an entry stays valid until its module gains a test;
+//! then the next lookup checks only the new columns against the recorded
+//! access word, and if they disagree resumes the search at the next access
+//! word (every earlier one already disagrees on an old, answered column).
+//! Closing the structure fills the entries and the hypothesis reads its plain
+//! and return transitions from them, so construction asks membership only for
+//! module-0 acceptance cells not yet known.
 //!
 //! The learner is agnostic to whether the call/return characters are real oracle
 //! characters (paper §4) or the artificial markers inserted by `conv_τ` (paper §5):
@@ -89,24 +96,85 @@ struct Test {
     suffix: String,
 }
 
+/// One row of a module's observation table: a word (access word or
+/// candidate), its lazily filled cells — bit `t` of `known` says whether test
+/// `t` was asked, bit `t` of `value` holds the answer — and its successor
+/// entry `(access index, tests checked)`.
+#[derive(Clone, Debug, Default)]
+struct Row {
+    word: String,
+    known: Vec<u64>,
+    value: Vec<u64>,
+    successor: Option<(usize, usize)>,
+}
+
 #[derive(Clone, Debug, Default)]
 struct Module {
-    access: Vec<String>,
+    /// Row ids of the access words, in admission order.
+    access: Vec<usize>,
     tests: Vec<Test>,
-    /// Candidate word → index of its first equivalent access word under
-    /// `tests`; cleared whenever a test is added.
-    successors: HashMap<String, usize>,
+    rows: Vec<Row>,
+    row_ids: HashMap<String, usize>,
 }
 
 impl Module {
-    /// Adds a test unless already present, invalidating the successor table.
+    /// Adds a test unless already present.
     fn add_test(&mut self, test: Test) -> bool {
         if self.tests.contains(&test) {
             return false;
         }
         self.tests.push(test);
-        self.successors.clear();
         true
+    }
+
+    /// The row id of `word`, creating an empty row on first sight.
+    fn row(&mut self, word: String) -> usize {
+        let rows = &mut self.rows;
+        *self.row_ids.entry(word).or_insert_with_key(|word| {
+            rows.push(Row { word: word.clone(), ..Row::default() });
+            rows.len() - 1
+        })
+    }
+
+    /// The word of access word `idx`.
+    fn access_word(&self, idx: usize) -> &str {
+        &self.rows[self.access[idx]].word
+    }
+
+    /// Cell `(row, test)`: the membership of `prefix · word · suffix`, asked
+    /// of `member` only the first time.
+    fn cell(&mut self, member: &dyn Fn(&str) -> bool, row: usize, test: usize) -> bool {
+        let (w, bit) = (test / 64, 1u64 << (test % 64));
+        let r = &mut self.rows[row];
+        if r.known.len() <= w {
+            r.known.resize(w + 1, 0);
+            r.value.resize(w + 1, 0);
+        }
+        if r.known[w] & bit == 0 {
+            let Test { prefix, suffix } = &self.tests[test];
+            r.known[w] |= bit;
+            r.value[w] |= u64::from(member(&format!("{prefix}{}{suffix}", r.word))) << (test % 64);
+        }
+        r.value[w] & bit != 0
+    }
+
+    /// Do rows `a` and `b` agree on every test from `from` on? Cells are
+    /// compared in test order, `a`'s first, up to the first disagreement.
+    fn agree(&mut self, member: &dyn Fn(&str) -> bool, a: usize, b: usize, from: usize) -> bool {
+        (from..self.tests.len()).all(|t| self.cell(member, a, t) == self.cell(member, b, t))
+    }
+
+    /// Index of the first access word equivalent to `row` under all tests.
+    /// A recorded entry is revalidated on the columns added since it was
+    /// checked; if they disagree the search resumes at the next access word,
+    /// since every earlier one already disagrees on an old column.
+    fn successor(&mut self, member: &dyn Fn(&str) -> bool, row: usize) -> Option<usize> {
+        let (start, checked) = self.rows[row].successor.unwrap_or((0, 0));
+        let found = (start..self.access.len()).find(|&idx| {
+            self.agree(member, self.access[idx], row, if idx == start { checked } else { 0 })
+        });
+        self.rows[row].successor = found.map(|idx| (idx, self.tests.len()));
+        found
     }
 }
 
@@ -203,7 +271,8 @@ impl<'a> SevpaLearner<'a> {
         let call_chars = alphabet.call_chars();
         let mut modules = vec![Module::default(); k + 1];
         for (i, module) in modules.iter_mut().enumerate() {
-            module.access.push(String::new());
+            let epsilon = module.row(String::new());
+            module.access.push(epsilon);
             if i == 0 {
                 module.tests.push(Test { prefix: String::new(), suffix: String::new() });
             } else {
@@ -235,29 +304,11 @@ impl<'a> SevpaLearner<'a> {
         (self.member)(s)
     }
 
-    /// Are `s1` and `s2` equivalent w.r.t. the tests of module `i`?
-    fn equivalent(&self, module: usize, s1: &str, s2: &str) -> bool {
-        self.modules[module].tests.iter().all(|t| {
-            self.member(&format!("{}{}{}", t.prefix, s1, t.suffix))
-                == self.member(&format!("{}{}{}", t.prefix, s2, t.suffix))
-        })
-    }
-
-    /// Index of the first access word of module `i` equivalent to `s`, if any.
-    fn find_equivalent(&self, module: usize, s: &str) -> Option<usize> {
-        self.modules[module].access.iter().position(|q| self.equivalent(module, q, s))
-    }
-
-    /// The successor table lookup: index of the first access word of `module`
-    /// equivalent to `word`, decided by [`Self::find_equivalent`] once per
-    /// module test set and recorded.
-    fn successor(&mut self, module: usize, word: &str) -> Option<usize> {
-        if let Some(&idx) = self.modules[module].successors.get(word) {
-            return Some(idx);
-        }
-        let idx = self.find_equivalent(module, word)?;
-        self.modules[module].successors.insert(word.to_string(), idx);
-        Some(idx)
+    /// Index of the first access word of `module` equivalent to `word`, if any.
+    fn successor(&mut self, module: usize, word: String) -> Option<usize> {
+        let module = &mut self.modules[module];
+        let row = module.row(word);
+        module.successor(self.member, row)
     }
 
     /// The current extension set Σ_M: plain characters plus the nested words
@@ -270,9 +321,9 @@ impl<'a> SevpaLearner<'a> {
         let ret_chars = self.alphabet.ret_chars();
         let mut out: Vec<String> = self.alphabet.plain.iter().map(ToString::to_string).collect();
         for (i, module) in self.modules.iter().enumerate().skip(1) {
-            for q in &module.access {
+            for idx in 0..module.access.len() {
                 for &b in &ret_chars {
-                    out.push(format!("{}{q}{b}", call_chars[i - 1]));
+                    out.push(format!("{}{}{b}", call_chars[i - 1], module.access_word(idx)));
                 }
             }
         }
@@ -287,9 +338,10 @@ impl<'a> SevpaLearner<'a> {
             for module_idx in 0..self.modules.len() {
                 for q_idx in 0..self.modules[module_idx].access.len() {
                     for m in &extensions {
-                        let candidate = format!("{}{m}", self.modules[module_idx].access[q_idx]);
-                        if self.successor(module_idx, &candidate).is_none() {
-                            self.modules[module_idx].access.push(candidate);
+                        let module = &mut self.modules[module_idx];
+                        let row = module.row(format!("{}{m}", module.access_word(q_idx)));
+                        if module.successor(self.member, row).is_none() {
+                            module.access.push(row);
                             added = true;
                             if self.state_count() >= MAX_STATES {
                                 return;
@@ -314,9 +366,9 @@ impl<'a> SevpaLearner<'a> {
     }
 
     /// Definition 4.3: read a hypothesis VPA off the closed, separable structure.
-    /// Every plain and return target is read through the successor table, so
+    /// Every plain and return target is read from the successor entries, so
     /// after a completed [`Self::close`] construction queries membership only
-    /// for module-0 acceptance.
+    /// for module-0 acceptance cells not yet known.
     fn construct_vpa(&mut self) -> Hypothesis {
         let call_chars = self.alphabet.call_chars();
         let ret_chars = self.alphabet.ret_chars();
@@ -329,15 +381,17 @@ impl<'a> SevpaLearner<'a> {
         let mut states: Vec<(usize, String)> = Vec::new();
         for (i, module) in self.modules.iter().enumerate() {
             offsets.push(states.len());
-            states.extend(module.access.iter().map(|q| (i, q.clone())));
+            states.extend((0..module.access.len()).map(|idx| (i, module.access_word(idx).into())));
         }
         let state_id = |module: usize, idx: usize| StateId(offsets[module] + idx);
         builder.add_states(states.len());
 
         builder.set_initial(state_id(0, 0));
-        // Accepting states: module-0 access words that are members.
-        for (idx, q) in self.modules[0].access.iter().enumerate() {
-            if self.member(q) {
+        // Accepting states: module-0 access words that are members, read from
+        // the cells of module 0's first test (ε, ε).
+        for idx in 0..self.modules[0].access.len() {
+            let row = self.modules[0].access[idx];
+            if self.modules[0].cell(self.member, row, 0) {
                 builder.add_accepting(state_id(0, idx));
             }
         }
@@ -357,7 +411,7 @@ impl<'a> SevpaLearner<'a> {
         // Plain transitions inside each module.
         for (sid, (module, q)) in states.iter().enumerate() {
             for &c in &plain {
-                if let Some(target_idx) = self.successor(*module, &format!("{q}{c}")) {
+                if let Some(target_idx) = self.successor(*module, format!("{q}{c}")) {
                     let to = state_id(*module, target_idx);
                     builder.plain(StateId(sid), c, to).expect("valid plain transition");
                 }
@@ -374,7 +428,7 @@ impl<'a> SevpaLearner<'a> {
             for &b in &ret_chars {
                 for (push, (module_j, q_prime)) in states.iter().enumerate() {
                     let combined = format!("{q_prime}{a_i}{q}{b}");
-                    if let Some(target_idx) = self.successor(*module_j, &combined) {
+                    if let Some(target_idx) = self.successor(*module_j, combined) {
                         let gamma = StackSymId(push * calls + *module_i - 1);
                         let to = state_id(*module_j, target_idx);
                         builder.ret(StateId(sid), b, gamma, to).expect("valid return transition");
@@ -494,12 +548,13 @@ impl<'a> SevpaLearner<'a> {
     /// if anything new was added.
     fn refine(&mut self, module: usize, access: String, prefix: String, suffix: String) -> bool {
         let module = &mut self.modules[module];
-        let mut added = module.add_test(Test { prefix, suffix });
-        if !module.access.contains(&access) {
-            module.access.push(access);
-            added = true;
+        let added = module.add_test(Test { prefix, suffix });
+        let row = module.row(access);
+        let fresh = !module.access.contains(&row);
+        if fresh {
+            module.access.push(row);
         }
-        added
+        added || fresh
     }
 
     /// Algorithm 1: learn a VPA using the given (simulated) equivalence query.
@@ -610,11 +665,10 @@ impl<'a> SevpaLearner<'a> {
                 if self.state_count() >= MAX_STATES {
                     return admitted;
                 }
-                if self.modules[module_idx].access.contains(access) {
-                    continue;
-                }
-                if self.successor(module_idx, access).is_none() {
-                    self.modules[module_idx].access.push(access.clone());
+                let module = &mut self.modules[module_idx];
+                let row = module.row(access.clone());
+                if !module.access.contains(&row) && module.successor(self.member, row).is_none() {
+                    module.access.push(row);
                     admitted += 1;
                 }
             }
@@ -827,57 +881,100 @@ mod tests {
         let hyp = learner
             .learn(|hyp| exhaustive_disagreement(&two_pair, hyp, &alphabet, 6))
             .expect("learning succeeds");
-        // A new test clears its module's table; closing refills it.
+        // A new test leaves module 0's successor entries checked against the
+        // old test set; closing revalidates every one of them.
         let seed = ObservationSeed {
             modules: vec![ModuleSeed { access: Vec::new(), tests: vec![("a".into(), "b".into())] }],
         };
         learner.seed_observations(&seed);
-        assert!(learner.modules[0].successors.is_empty());
+        let stale = |learner: &SevpaLearner<'_>| {
+            let module = &learner.modules[0];
+            module
+                .rows
+                .iter()
+                .filter(|r| matches!(r.successor, Some((_, n)) if n < module.tests.len()))
+                .count()
+        };
+        assert!(stale(&learner) > 0);
         let rebuilt = close_then_construct(&mut learner);
+        assert_eq!(stale(&learner), 0);
         assert_eq!(format!("{:?}", rebuilt.vpa), format!("{:?}", hyp.vpa));
+    }
+
+    /// The paper's Fig. 1 language: `L → a A b L | c d L | ε`, `A → g L h`.
+    fn fig1(s: &str) -> bool {
+        fn l(s: &[u8], mut pos: usize) -> Option<usize> {
+            loop {
+                match s.get(pos) {
+                    Some(b'a') => {
+                        pos = a(s, pos + 1)?;
+                        if s.get(pos) != Some(&b'b') {
+                            return None;
+                        }
+                        pos += 1;
+                    }
+                    Some(b'c') => {
+                        if s.get(pos + 1) != Some(&b'd') {
+                            return None;
+                        }
+                        pos += 2;
+                    }
+                    _ => return Some(pos),
+                }
+            }
+        }
+        fn a(s: &[u8], pos: usize) -> Option<usize> {
+            if s.get(pos) != Some(&b'g') {
+                return None;
+            }
+            let pos = l(s, pos + 1)?;
+            if s.get(pos) != Some(&b'h') {
+                return None;
+            }
+            Some(pos + 1)
+        }
+        l(s.as_bytes(), 0) == Some(s.len())
+    }
+
+    /// The paper's preferred tagging {(a,b)} for Fig. 1, with g, h plain.
+    fn fig1_alphabet() -> TaggedAlphabet {
+        TaggedAlphabet::new(Tagging::from_pairs([('a', 'b')]).unwrap(), vec!['c', 'd', 'g', 'h'])
+    }
+
+    /// Learns `lang` exactly through a membership closure that records every
+    /// call; returns `(calls, distinct strings)`.
+    fn query_economy(lang: fn(&str) -> bool, alphabet: &TaggedAlphabet) -> (usize, usize) {
+        let calls = std::cell::RefCell::new(Vec::new());
+        let recording = |s: &str| {
+            calls.borrow_mut().push(s.to_string());
+            lang(s)
+        };
+        let member: &dyn Fn(&str) -> bool = &recording;
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
+        learner.learn(|hyp| exhaustive_disagreement(&lang, hyp, alphabet, 6)).expect("learns");
+        let calls = calls.borrow();
+        let distinct: std::collections::HashSet<&String> = calls.iter().collect();
+        (calls.len(), distinct.len())
+    }
+
+    #[test]
+    fn observation_table_asks_each_cell_once() {
+        // The string-comparing learner this table replaced made 1766 (two_pair)
+        // and 1866 (fig1) calls for the same distinct queries; the table asks
+        // each (word, test) cell at most once and keeps the first-time query
+        // sequence, so the distinct count is unchanged.
+        let (calls, distinct) = query_economy(two_pair, &two_pair_alphabet());
+        assert_eq!(distinct, 299);
+        assert!(calls < 1766, "{calls} calls");
+        let (calls, distinct) = query_economy(fig1, &fig1_alphabet());
+        assert_eq!(distinct, 217);
+        assert!(calls < 1866, "{calls} calls");
     }
 
     #[test]
     fn fig1_language_is_learned_exactly() {
-        fn fig1(s: &str) -> bool {
-            fn l(s: &[u8], mut pos: usize) -> Option<usize> {
-                loop {
-                    match s.get(pos) {
-                        Some(b'a') => {
-                            pos = a(s, pos + 1)?;
-                            if s.get(pos) != Some(&b'b') {
-                                return None;
-                            }
-                            pos += 1;
-                        }
-                        Some(b'c') => {
-                            if s.get(pos + 1) != Some(&b'd') {
-                                return None;
-                            }
-                            pos += 2;
-                        }
-                        _ => return Some(pos),
-                    }
-                }
-            }
-            fn a(s: &[u8], pos: usize) -> Option<usize> {
-                if s.get(pos) != Some(&b'g') {
-                    return None;
-                }
-                let pos = l(s, pos + 1)?;
-                if s.get(pos) != Some(&b'h') {
-                    return None;
-                }
-                Some(pos + 1)
-            }
-            l(s.as_bytes(), 0) == Some(s.len())
-        }
-        // Use the paper's preferred tagging {(a,b)} with g, h treated as plain.
         let member: &dyn Fn(&str) -> bool = &fig1;
-        let alphabet = TaggedAlphabet::new(
-            Tagging::from_pairs([('a', 'b')]).unwrap(),
-            vec!['c', 'd', 'g', 'h'],
-        );
+        let alphabet = fig1_alphabet();
         let mut learner = SevpaLearner::new(member, alphabet.clone());
         let hyp = learner
             .learn(|hyp| exhaustive_disagreement(&fig1, hyp, &alphabet, 6))

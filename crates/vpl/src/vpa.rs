@@ -197,15 +197,29 @@ impl Vpa {
     }
 
     /// Returns `true` if the automaton accepts the (pre-tagged) string: the run
-    /// completes and ends in an accepting state with an empty stack.
+    /// completes and ends in an accepting state with an empty stack. Walks one
+    /// state and one stack, so no configuration is copied; a missing
+    /// transition rejects exactly as [`Vpa::step`] does.
     #[must_use]
     pub fn accepts_tagged(&self, input: &[TaggedChar]) -> bool {
-        let trace = self.trace_tagged(input);
-        if !trace.completed() {
-            return false;
+        let mut state = self.initial;
+        let mut stack = Vec::new();
+        for &sym in input {
+            let next = match sym.kind {
+                Kind::Call => self.call_tr.get(&(state, sym.ch)).map(|&(q2, g)| {
+                    stack.push(g);
+                    q2
+                }),
+                Kind::Return => match stack.pop() {
+                    Some(top) => self.ret_tr.get(&(state, sym.ch, top)).copied(),
+                    None => self.ret_bottom_tr.get(&(state, sym.ch)).copied(),
+                },
+                Kind::Plain => self.plain_tr.get(&(state, sym.ch)).copied(),
+            };
+            let Some(q2) = next else { return false };
+            state = q2;
         }
-        let last = trace.last();
-        last.stack.is_empty() && self.is_accepting(last.state)
+        stack.is_empty() && self.is_accepting(state)
     }
 
     /// Returns `true` if the automaton accepts the raw string under its own tagging.
@@ -563,6 +577,71 @@ mod tests {
         assert!(vpa.accepts(")"));
         assert!(!vpa.accepts("))"));
         assert_eq!(vpa.bottom_return_transitions().collect::<Vec<_>>(), vec![(q0, ')', q1)]);
+    }
+
+    /// Paper Fig. 1, `L → a A b L | c d L | ε` and `A → g L h`, tagged
+    /// {(a,b)}: `q0`/`q1` read `L` at the top level, `p0`–`p3` inside `a…b`.
+    fn fig1_vpa() -> Vpa {
+        let mut b = VpaBuilder::new(Tagging::from_pairs([('a', 'b')]).unwrap());
+        let [q0, q1, p0, p1, p2, p3] = [(); 6].map(|()| b.add_state());
+        b.set_initial(q0);
+        b.add_accepting(q0);
+        for (from, to) in [(q0, q1), (p1, p2)] {
+            b.plain(from, 'c', to).unwrap();
+            b.plain(to, 'd', from).unwrap();
+        }
+        b.plain(p0, 'g', p1).unwrap();
+        b.plain(p1, 'h', p3).unwrap();
+        for from in [q0, p1] {
+            let gamma = b.add_stack_symbol();
+            b.call(from, 'a', p0, gamma).unwrap();
+            b.ret(p3, 'b', gamma, from).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// `E → a E b | c E d | x`, tagged {(a,b), (c,d)}; with `ret_bottom` a
+    /// `d` read on the empty stack after an `E` starts another `E`.
+    fn two_pair_vpa(ret_bottom: bool) -> Vpa {
+        let mut b = VpaBuilder::new(Tagging::from_pairs([('a', 'b'), ('c', 'd')]).unwrap());
+        let [s0, s1] = [(); 2].map(|()| b.add_state());
+        b.set_initial(s0);
+        b.add_accepting(s1);
+        b.plain(s0, 'x', s1).unwrap();
+        for (call, ret) in [('a', 'b'), ('c', 'd')] {
+            let gamma = b.add_stack_symbol();
+            b.call(s0, call, s0, gamma).unwrap();
+            b.ret(s1, ret, gamma, s1).unwrap();
+        }
+        if ret_bottom {
+            b.ret_on_empty(s1, 'd', s0).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn accepts_tagged_agrees_with_the_trace() {
+        let traced = |vpa: &Vpa, tagged: &[TaggedChar]| {
+            let trace = vpa.trace_tagged(tagged);
+            trace.completed()
+                && trace.last().stack.is_empty()
+                && vpa.is_accepting(trace.last().state)
+        };
+        let cases =
+            [(fig1_vpa(), "abcdgh"), (two_pair_vpa(false), "abcdx"), (two_pair_vpa(true), "abcdx")];
+        for (vpa, alphabet) in &cases {
+            let chars: Vec<char> = alphabet.chars().collect();
+            let mut accepted = 0;
+            for word in crate::words::all_strings(&chars, 7) {
+                let tagged = vpa.tagging().tag(&word);
+                let accepts = vpa.accepts_tagged(&tagged);
+                assert_eq!(accepts, traced(vpa, &tagged), "{word:?}");
+                accepted += usize::from(accepts);
+            }
+            assert!(accepted > 0);
+        }
+        assert!(cases[0].0.accepts("agcdhbcd") && cases[0].0.accepts("agaghbhb"));
+        assert!(!cases[1].0.accepts("xdx") && cases[2].0.accepts("xdx"));
     }
 
     #[test]
