@@ -110,6 +110,75 @@ impl TokenMatcher {
             TokenMatcher::Dfa(dfa) => dfa.to_regex(),
         }
     }
+
+    /// Calls `found(start, len)` for every start position of `chars` at which
+    /// this token has a non-empty match, with the length of the shortest one.
+    ///
+    /// A DFA is run from every start position in one forward sweep: the runs
+    /// advance together, and runs that reach the same DFA state at the same
+    /// position merge (their futures are the same), so the sweep costs
+    /// O(`chars.len()` · states) rather than a run per start position. Each
+    /// start is resolved when its run first accepts, or dropped when it dies.
+    fn shortest_matches(&self, chars: &[char], mut found: impl FnMut(usize, usize)) {
+        match self {
+            TokenMatcher::Literal(lit) => {
+                let len = lit.chars().count();
+                if len == 0 {
+                    return;
+                }
+                for (start, window) in chars.windows(len).enumerate() {
+                    if window.iter().copied().eq(lit.chars()) {
+                        found(start, len);
+                    }
+                }
+            }
+            TokenMatcher::Dfa(dfa) => {
+                let accepting: Vec<bool> =
+                    (0..dfa.state_count()).map(|q| dfa.accepting().contains(&q)).collect();
+                // The unresolved starts whose runs are in DFA state `q` form
+                // the list `groups[q] = Some((first, last))`, chained through
+                // `link`.
+                let mut groups: Vec<Option<(usize, usize)>> = vec![None; accepting.len()];
+                let mut next_groups = groups.clone();
+                let mut link = vec![0; chars.len()];
+                for (pos, &c) in chars.iter().enumerate() {
+                    join(&mut groups[dfa.initial()], &mut link, (pos, pos));
+                    for (q, group) in groups.iter_mut().enumerate() {
+                        let Some((first, last)) = group.take() else {
+                            continue;
+                        };
+                        let Some(next) = dfa.delta(q, c) else {
+                            continue;
+                        };
+                        if !accepting[next] {
+                            join(&mut next_groups[next], &mut link, (first, last));
+                            continue;
+                        }
+                        let mut start = first;
+                        loop {
+                            found(start, pos + 1 - start);
+                            if start == last {
+                                break;
+                            }
+                            start = link[start];
+                        }
+                    }
+                    std::mem::swap(&mut groups, &mut next_groups);
+                }
+            }
+        }
+    }
+}
+
+/// Appends the list `(first, last)` of start positions to `group`.
+fn join(group: &mut Option<(usize, usize)>, link: &mut [usize], (first, last): (usize, usize)) {
+    match group {
+        Some((_, tail)) => {
+            link[*tail] = first;
+            *tail = last;
+        }
+        None => *group = Some((first, last)),
+    }
 }
 
 /// A paired call/return token.
@@ -121,8 +190,9 @@ pub struct TokenPair {
     pub ret: TokenMatcher,
 }
 
-/// One token occurrence found by [`PartialTokenizer::tokenize`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One token occurrence: a candidate of [`PartialTokenizer::candidates`], or a
+/// real token found by [`PartialTokenizer::tokenize`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TokenMatch {
     /// Index of the token pair in the tokenizer.
     pub pair: usize,
@@ -224,18 +294,18 @@ impl PartialTokenizer {
     #[must_use]
     pub fn tokenize(&self, mat: &Mat<'_>, s: &str) -> Vec<TokenMatch> {
         let chars: Vec<char> = s.chars().collect();
+        let candidates = self.candidates(&chars);
         let mut matches = Vec::new();
         let mut i = 0usize;
         while i < chars.len() {
-            let rest: String = chars[i..].iter().collect();
-            match self.first_match_at(&rest) {
-                Some((pair, kind, len)) => {
-                    let occurrence: String = chars[i..i + len].iter().collect();
-                    if self.is_k_repeatable(mat, &chars, i, i + len, &occurrence) {
+            match candidates[i] {
+                Some(m) => {
+                    let occurrence: String = chars[m.start..m.end].iter().collect();
+                    if self.is_k_repeatable(mat, &chars, m.start, m.end, &occurrence) {
                         i += 1;
                     } else {
-                        matches.push(TokenMatch { pair, kind, start: i, end: i + len });
-                        i += len;
+                        matches.push(m);
+                        i = m.end;
                     }
                 }
                 None => i += 1,
@@ -244,18 +314,29 @@ impl PartialTokenizer {
         matches
     }
 
-    fn first_match_at(&self, rest: &str) -> Option<(usize, TokenKind, usize)> {
-        let mut best: Option<(usize, TokenKind, usize)> = None;
-        for (idx, pair) in self.pairs.iter().enumerate() {
-            for (kind, matcher) in [(TokenKind::Call, &pair.call), (TokenKind::Return, &pair.ret)] {
-                if let Some(&len) = matcher.prefix_match_lengths(rest).first() {
-                    if best.is_none_or(|(_, _, blen)| len < blen) {
-                        best = Some((idx, kind, len));
+    /// The candidate table of `chars`: entry `i` is the first (shortest) match
+    /// of any call/return token starting at position `i`, the occurrence
+    /// Algorithm 5 considers there. Ties go to the earlier pair, and to the
+    /// call token within a pair.
+    ///
+    /// The table depends only on the input, so both conversion scans (the
+    /// oracle-backed [`PartialTokenizer::tokenize`] and the compiled serving
+    /// scan) read it. Each matcher fills it in one forward sweep, linear in the
+    /// input length.
+    #[must_use]
+    pub fn candidates(&self, chars: &[char]) -> Vec<Option<TokenMatch>> {
+        let mut table: Vec<Option<TokenMatch>> = vec![None; chars.len()];
+        for (pair, p) in self.pairs.iter().enumerate() {
+            for (kind, matcher) in [(TokenKind::Call, &p.call), (TokenKind::Return, &p.ret)] {
+                matcher.shortest_matches(chars, |start, len| {
+                    let slot = &mut table[start];
+                    if slot.is_none_or(|c| start + len < c.end) {
+                        *slot = Some(TokenMatch { pair, kind, start, end: start + len });
                     }
-                }
+                });
             }
         }
-        best
+        table
     }
 
     fn is_k_repeatable(
@@ -528,6 +609,87 @@ mod tests {
         assert_eq!(converted.chars().filter(|&c| is_marker(c)).count(), 4);
         assert!(converted.starts_with(call_marker(0)));
         assert!(converted.ends_with(return_marker(0)));
+    }
+
+    /// The per-position reference for [`PartialTokenizer::candidates`]: run
+    /// every matcher from `i` and keep the first shortest non-empty match.
+    fn reference_candidate(t: &PartialTokenizer, chars: &[char], i: usize) -> Option<TokenMatch> {
+        let rest: String = chars[i..].iter().collect();
+        let mut best: Option<TokenMatch> = None;
+        for (pair, p) in t.pairs().iter().enumerate() {
+            for (kind, matcher) in [(TokenKind::Call, &p.call), (TokenKind::Return, &p.ret)] {
+                if let Some(&len) = matcher.prefix_match_lengths(&rest).first() {
+                    if best.is_none_or(|b| i + len < b.end) {
+                        best = Some(TokenMatch { pair, kind, start: i, end: i + len });
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn candidate_table_matches_the_per_position_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::{BTreeMap, BTreeSet};
+
+        let alphabet = ['a', 'b', 'c'];
+        let mut rng = StdRng::seed_from_u64(0x7AB1E);
+        let random_matcher = |rng: &mut StdRng| {
+            if rng.gen_range(0..3u32) == 0 {
+                let len = rng.gen_range(1..4usize);
+                return TokenMatcher::Literal(
+                    (0..len).map(|_| alphabet[rng.gen_range(0..alphabet.len())]).collect(),
+                );
+            }
+            // Partial DFAs with up to five states and random (often cyclic)
+            // transitions, so runs may loop for a while before accepting.
+            let states = rng.gen_range(1..6usize);
+            let mut transitions = BTreeMap::new();
+            for q in 0..states {
+                for &c in &alphabet {
+                    if rng.gen_range(0..4u32) != 0 {
+                        transitions.insert((q, c), rng.gen_range(0..states));
+                    }
+                }
+            }
+            let accepting: BTreeSet<usize> =
+                (0..states).filter(|_| rng.gen_range(0..3u32) == 0).collect();
+            TokenMatcher::Dfa(Dfa::new(alphabet.to_vec(), states, 0, accepting, transitions))
+        };
+        // `a (b|c)* a` loops on `b`/`c` before it accepts.
+        let looping = Dfa::new(
+            alphabet.to_vec(),
+            3,
+            0,
+            BTreeSet::from([2]),
+            BTreeMap::from([((0, 'a'), 1), ((1, 'b'), 1), ((1, 'c'), 1), ((1, 'a'), 2)]),
+        );
+        let mut compared = 0usize;
+        for case in 0..400 {
+            let mut t = PartialTokenizer::new();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let call = random_matcher(&mut rng);
+                let ret = random_matcher(&mut rng);
+                t.push_pair(TokenPair { call, ret });
+            }
+            if case % 2 == 0 {
+                let call = random_matcher(&mut rng);
+                t.push_pair(TokenPair { call, ret: TokenMatcher::Dfa(looping.clone()) });
+            }
+            let len = rng.gen_range(0..40usize);
+            let chars: Vec<char> =
+                (0..len).map(|_| alphabet[rng.gen_range(0..alphabet.len())]).collect();
+            let table = t.candidates(&chars);
+            assert_eq!(table.len(), chars.len());
+            for (i, &got) in table.iter().enumerate() {
+                let expected = reference_candidate(&t, &chars, i);
+                assert_eq!(got, expected, "case {case}, position {i} of {chars:?}\n{t}");
+                compared += usize::from(expected.is_some());
+            }
+        }
+        assert!(compared > 1000, "only {compared} positions had a candidate");
     }
 
     #[test]

@@ -27,6 +27,9 @@
 //!   `q ──occ──▶ q₁ ──occ──▶ q₁`, the word-level analog of "`occᵏ` stays
 //!   valid for every `k`", i.e. of the k-Repetition membership check. The
 //!   input is a member iff some reading drives the automaton to acceptance.
+//!   Candidate occurrences come from one forward sweep per token matcher
+//!   (shared with `conv_τ`), and the readings share a graph-structured stack,
+//!   so branches that differ only below their stack top merge.
 //!   The paper's §5.1 example (`{"{":true}` — a call-token `{` inside a
 //!   string literal) tokenizes correctly without a single query, because the
 //!   learned string-content rules loop on `{`.
@@ -38,12 +41,12 @@
 //! [`crate::serve`]). Compile once with [`CompileLearned::compile`], serve
 //! forever.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 use serde::Serialize;
 
-use vstar::tokenizer::{call_marker, return_marker, TokenKind, TokenMatcher};
+use vstar::tokenizer::{call_marker, return_marker, TokenKind, TokenMatch};
 use vstar::{LearnedLanguage, PartialTokenizer, TokenDiscovery, VStarResult};
 use vstar_vpl::{NonterminalId, TaggedChar, Vpg};
 
@@ -485,16 +488,6 @@ impl<'t> Builder<'t> {
     }
 }
 
-/// One candidate token occurrence at an input position, shared by every
-/// tokenization branch (the first/shortest match rule of the learning-time
-/// scanner depends only on the input).
-#[derive(Copy, Clone, Debug)]
-struct Candidate {
-    pair: usize,
-    kind: TokenKind,
-    len: usize,
-}
-
 /// A compiled, owned, oracle-free serving artifact for one learned grammar.
 ///
 /// See the [module docs](self) for the design. Obtain one with
@@ -656,20 +649,62 @@ pub struct GrammarStats {
     pub artifact_hash: String,
 }
 
-/// Cap on tokenization configurations explored per input; exceeding it treats
-/// the input as rejected (a defensive bound — live configurations are
-/// deduplicated on `(position, state, stack)` and die fast in practice).
+/// Cap on distinct scan configurations `(position, state, stack node)`
+/// explored per input; exceeding it treats the input as rejected. A defensive
+/// bound: the graph-structured stack merges branches that differ only below
+/// their top node, so 0.1–2 K-character documents of the learned Table-1
+/// grammars explore at most about 50 configurations per character (the
+/// unrefined `while` grammar, the worst, about 112 K on 2.4 K characters).
 const MAX_SCAN_CONFIGS: usize = 1 << 17;
 
 /// Outcome of the compiled conversion scan (token mode).
 struct ScanOutcome {
-    /// `(position, candidate)` take-decisions of an accepting branch, in
-    /// input order (`None` when no branch accepts).
-    takes: Option<Vec<(usize, Candidate)>>,
+    /// The occurrences an accepting branch read as tokens, in input order
+    /// (`None` when no branch accepts).
+    takes: Option<Vec<TokenMatch>>,
     /// Furthest raw character position any branch reached.
     furthest: usize,
     /// Whether some branch consumed the whole input (but did not accept).
     reached_end: bool,
+}
+
+/// An entry of the scan's arena: a configuration queued at a position, or an
+/// edge of a stack node. Id 0 means "none" (the empty stack, the empty trace,
+/// the end of a list).
+#[derive(Copy, Clone, Default)]
+struct Config {
+    state: u32,
+    /// The stack node of the top (for an edge: the node below).
+    node: u32,
+    /// Take-trace since `node` was pushed (for an edge: the pushing branch's).
+    trace: u32,
+    /// Next entry of the same list.
+    next: u32,
+    /// Next explored configuration with the same node at the same position.
+    same_node: u32,
+}
+
+/// A graph-structured-stack node: one `(push position, stack symbol)`.
+#[derive(Copy, Clone, Default)]
+struct StackNode {
+    sym: u32,
+    /// `(first, last)` edge to the nodes it was pushed onto, in push order.
+    edges: (u32, u32),
+    /// `(position + 1, first)` of the node's explored configurations at that
+    /// position, chained through `same_node`.
+    seen: (u32, u32),
+}
+
+/// Appends `entry` to the list `(first, last)` of `arena`.
+fn append(arena: &mut Vec<Config>, list: &mut (u32, u32), entry: Config) {
+    let id = arena.len() as u32;
+    arena.push(entry);
+    if list.0 == 0 {
+        list.0 = id;
+    } else {
+        arena[list.1 as usize].next = id;
+    }
+    list.1 = id;
 }
 
 impl CompiledGrammar {
@@ -938,24 +973,6 @@ impl CompiledGrammar {
         }
     }
 
-    /// First/shortest candidate token match at `chars[pos..]`, mirroring the
-    /// learning-time scanner's match rule (earlier pair wins ties, call before
-    /// return within a pair, shortest match per matcher).
-    fn first_match_at(&self, chars: &[char], pos: usize) -> Option<Candidate> {
-        let rest = &chars[pos..];
-        let mut best: Option<Candidate> = None;
-        for (pair, p) in self.tokenizer.pairs().iter().enumerate() {
-            for (kind, matcher) in [(TokenKind::Call, &p.call), (TokenKind::Return, &p.ret)] {
-                if let Some(len) = shortest_match_len(matcher, rest) {
-                    if best.is_none_or(|b| len < b.len) {
-                        best = Some(Candidate { pair, kind, len });
-                    }
-                }
-            }
-        }
-        best
-    }
-
     /// The state after reading `occ` as plain text from `state`, or `None`
     /// when the run dies.
     fn run_plains(&self, mut state: u32, occ: &[char]) -> Option<u32> {
@@ -993,8 +1010,10 @@ impl CompiledGrammar {
     }
 
     /// The compiled conversion scan: Algorithm 5's left-to-right scan with
-    /// the membership oracle materialized into the tables. At a candidate
-    /// occurrence the scan explores
+    /// the membership oracle materialized into the tables. Candidates come
+    /// from the tokenizer's one-pass table
+    /// ([`PartialTokenizer::candidates`]). At a candidate occurrence the scan
+    /// explores
     ///
     /// * a **take** branch — the occurrence is a token; its marker and
     ///   characters run through the automaton and the branch dies if they
@@ -1006,165 +1025,167 @@ impl CompiledGrammar {
     ///   learner never constrained.
     ///
     /// Positions without a candidate advance one plain character. Branches
-    /// are deduplicated on `(position, state, stack)` with hash-consed
-    /// stacks; the input is a member iff some branch consumes it into an
-    /// accepting configuration. The oracle-backed conversion corresponds to
-    /// one decision sequence per position, so whenever its decisions are
-    /// take-executable/loop-repeatable here, that run is among the explored
-    /// branches.
+    /// share a graph-structured stack: a call pushes the node `(position,
+    /// stack symbol)` with an edge to every node it is pushed onto, and a
+    /// return pops to every node below. Configurations `(state, node)` wait in
+    /// position-indexed queues and are deduplicated when their position is
+    /// explored. This is exact: a stack symbol is interned per `(origin state,
+    /// call)`, so all pushes of one node continue in the same state, and they
+    /// all happen at its position, before any pop from it. For `parse`, a
+    /// configuration's trace holds the takes since its node was pushed, and a
+    /// pop splices in the trace its edge carries. The input is a member iff
+    /// some branch consumes it into an accepting empty-stack configuration;
+    /// whenever the oracle-backed conversion's decisions are
+    /// take-executable/loop-repeatable here, its run is among the branches.
+    ///
+    /// Records the explored configurations in `serve.scan_configs` (once per
+    /// call) when telemetry is on.
     fn scan_tokens(&self, chars: &[char], want_trace: bool) -> ScanOutcome {
         let auto = &self.auto;
-        // Candidate matches depend only on the input — compute them once.
-        let matches: Vec<Option<Candidate>> =
-            (0..chars.len()).map(|i| self.first_match_at(chars, i)).collect();
-
-        // Hash-consed stacks: id 0 is the empty stack; node ids are offset by
-        // one into `nodes`.
-        let mut nodes: Vec<(u32, u32)> = Vec::new();
-        let mut node_ix: HashMap<(u32, u32), u32> = HashMap::new();
-        // Take-decision traces for parse: (parent, position, candidate).
-        let mut traces: Vec<(u32, u32, Candidate)> = Vec::new();
-
-        let mut frontier: BTreeMap<usize, Vec<(u32, u32, u32)>> = BTreeMap::new();
-        let mut visited: HashSet<(usize, u32, u32)> = HashSet::new();
-        let mut budget = MAX_SCAN_CONFIGS;
-        let mut furthest = 0usize;
-        let mut reached_end = false;
-
-        let enqueue = |frontier: &mut BTreeMap<usize, Vec<(u32, u32, u32)>>,
-                       visited: &mut HashSet<(usize, u32, u32)>,
-                       budget: &mut usize,
-                       pos: usize,
-                       state: u32,
-                       stack: u32,
-                       trace: u32| {
-            if *budget == 0 || !visited.insert((pos, state, stack)) {
-                return;
+        let candidates = self.tokenizer.candidates(chars);
+        // `(first, last)` configuration queued at each position.
+        let mut queue = vec![(0u32, 0u32); chars.len() + 1];
+        let mut arena = vec![Config::default()];
+        let mut nodes = vec![StackNode::default()];
+        // `(before, inner, take)`: the takes of `before`, then of `inner`,
+        // then this one. Trace ids are offset by one.
+        let mut traces: Vec<(u32, u32, TokenMatch)> = Vec::new();
+        let mut trace_of = |before: u32, inner: u32, take: TokenMatch| {
+            if !want_trace {
+                return 0;
             }
-            *budget -= 1;
-            frontier.entry(pos).or_default().push((state, stack, trace));
+            traces.push((before, inner, take));
+            traces.len() as u32
         };
-        enqueue(&mut frontier, &mut visited, &mut budget, 0, auto.start, 0, 0);
+        // `(position + 1, node)` last pushed per stack symbol.
+        let mut pushed = vec![(0u32, 0u32); auto.n_syms];
+        append(&mut arena, &mut queue[0], Config { state: auto.start, ..Config::default() });
+        let (mut explored, mut furthest, mut reached_end) = (0usize, 0usize, false);
 
-        while let Some((pos, bucket)) = frontier.pop_first() {
-            furthest = furthest.max(pos);
-            for (state, stack, trace) in bucket {
-                if pos == chars.len() {
-                    if stack == 0 && auto.accepting[state as usize] {
-                        return ScanOutcome {
-                            takes: Some(unwind_trace(&traces, trace)),
-                            furthest: pos,
-                            reached_end: true,
-                        };
+        let takes = 'scan: {
+            for pos in 0..=chars.len() {
+                let stamp = pos as u32 + 1;
+                let mut next = queue[pos].0;
+                while next != 0 {
+                    let id = next;
+                    let Config { state, node, trace, .. } = arena[id as usize];
+                    next = arena[id as usize].next;
+                    let seen = nodes[node as usize].seen;
+                    let first = if seen.0 == stamp { seen.1 } else { 0 };
+                    let mut dup = first;
+                    while dup != 0 && arena[dup as usize].state != state {
+                        dup = arena[dup as usize].same_node;
                     }
-                    reached_end = true;
-                    continue;
-                }
+                    if dup != 0 {
+                        continue;
+                    }
+                    arena[id as usize].same_node = first;
+                    nodes[node as usize].seen = (stamp, id);
+                    if explored == MAX_SCAN_CONFIGS {
+                        break 'scan None;
+                    }
+                    explored += 1;
+                    furthest = pos;
 
-                let cand = matches[pos];
-                // Plain/skip branch: the character at `pos` is plain text —
-                // always available where nothing matches, gated by the
-                // materialized k-Repetition predicate where something does.
-                let skip_allowed = match cand {
-                    None => true,
-                    Some(c) => self.repeatable(state, &chars[pos..pos + c.len]),
-                };
-                if skip_allowed {
-                    let code = auto.classify(chars[pos]);
-                    if code >> 30 == KIND_PLAIN {
-                        let s2 = auto.plain_step(state, code & 0x3FFF_FFFF);
-                        if s2 != DEAD {
-                            enqueue(
-                                &mut frontier,
-                                &mut visited,
-                                &mut budget,
-                                pos + 1,
-                                s2,
-                                stack,
-                                trace,
-                            );
+                    if pos == chars.len() {
+                        reached_end = true;
+                        if node == 0 && auto.accepting[state as usize] {
+                            break 'scan Some(unwind_trace(&traces, trace));
+                        }
+                        continue;
+                    }
+
+                    let cand = candidates[pos];
+                    // Plain/skip branch: the character at `pos` is plain text —
+                    // always available where nothing matches, gated by the
+                    // materialized k-Repetition predicate where something does.
+                    if cand.is_none_or(|c| self.repeatable(state, &chars[pos..c.end])) {
+                        if let Some(s2) = self.run_plains(state, &chars[pos..=pos]) {
+                            let c = Config { state: s2, node, trace, ..Config::default() };
+                            append(&mut arena, &mut queue[pos + 1], c);
                         }
                     }
-                }
 
-                // Take branch: the candidate occurrence is a real token.
-                let Some(cand) = cand else {
-                    continue;
-                };
-                let marker = match cand.kind {
-                    TokenKind::Call => call_marker(cand.pair),
-                    TokenKind::Return => return_marker(cand.pair),
-                };
-                let mcode = auto.classify(marker);
-                let (mut s2, mut stack2) = (state, stack);
-                let mut alive = match cand.kind {
-                    TokenKind::Call => {
-                        if mcode >> 30 != KIND_CALL {
-                            false
-                        } else {
-                            let (body, sym) = auto.call_step(s2, mcode & 0x3FFF_FFFF);
+                    // Take branch: the candidate occurrence is a real token; its
+                    // characters are the token's plain text.
+                    let Some(cand) = cand else {
+                        continue;
+                    };
+                    let (end, occ) = (cand.end, &chars[pos..cand.end]);
+                    match cand.kind {
+                        TokenKind::Call => {
+                            let code = auto.classify(call_marker(cand.pair));
+                            if code >> 30 != KIND_CALL {
+                                continue;
+                            }
+                            let (body, sym) = auto.call_step(state, code & 0x3FFF_FFFF);
                             if body == DEAD {
-                                false
-                            } else {
-                                stack2 = *node_ix.entry((stack2, sym)).or_insert_with(|| {
-                                    nodes.push((stack, sym));
-                                    nodes.len() as u32
-                                });
-                                s2 = body;
-                                true
+                                continue;
+                            }
+                            let Some(s2) = self.run_plains(body, occ) else {
+                                continue;
+                            };
+                            // Every branch pushing `sym` here came from the same
+                            // state, so it joins the node and its successor.
+                            let (at, mut top) = pushed[sym as usize];
+                            if at != stamp {
+                                top = nodes.len() as u32;
+                                nodes.push(StackNode { sym, ..StackNode::default() });
+                                pushed[sym as usize] = (stamp, top);
+                                let trace = trace_of(0, 0, cand);
+                                let c = Config { state: s2, node: top, trace, ..Config::default() };
+                                append(&mut arena, &mut queue[end], c);
+                            }
+                            let edge = Config { node, trace, ..Config::default() };
+                            append(&mut arena, &mut nodes[top as usize].edges, edge);
+                        }
+                        TokenKind::Return => {
+                            let code = auto.classify(return_marker(cand.pair));
+                            if code >> 30 != KIND_RETURN || node == 0 {
+                                continue;
+                            }
+                            let Some(s2) = self.run_plains(state, occ) else {
+                                continue;
+                            };
+                            let top = nodes[node as usize];
+                            let s3 = auto.ret_step(s2, top.sym, code & 0x3FFF_FFFF);
+                            if s3 == DEAD {
+                                continue;
+                            }
+                            let mut edge = top.edges.0;
+                            while edge != 0 {
+                                let Config { node: below, trace: pushed_by, .. } =
+                                    arena[edge as usize];
+                                let trace = trace_of(pushed_by, trace, cand);
+                                let c =
+                                    Config { state: s3, node: below, trace, ..Config::default() };
+                                append(&mut arena, &mut queue[end], c);
+                                edge = arena[edge as usize].next;
                             }
                         }
                     }
-                    TokenKind::Return => true,
-                };
-                if alive {
-                    // The occurrence's characters are the token's plain text.
-                    match self.run_plains(s2, &chars[pos..pos + cand.len]) {
-                        Some(q) => s2 = q,
-                        None => alive = false,
-                    }
-                }
-                if alive && cand.kind == TokenKind::Return {
-                    alive = if mcode >> 30 != KIND_RETURN || stack2 == 0 {
-                        false
-                    } else {
-                        let (below, sym) = nodes[stack2 as usize - 1];
-                        s2 = auto.ret_step(s2, sym, mcode & 0x3FFF_FFFF);
-                        stack2 = below;
-                        s2 != DEAD
-                    };
-                }
-                if alive {
-                    let trace2 = if want_trace {
-                        traces.push((trace, pos as u32, cand));
-                        traces.len() as u32
-                    } else {
-                        0
-                    };
-                    enqueue(
-                        &mut frontier,
-                        &mut visited,
-                        &mut budget,
-                        pos + cand.len,
-                        s2,
-                        stack2,
-                        trace2,
-                    );
                 }
             }
+            None
+        };
+        if vstar_telemetry::enabled() {
+            vstar_telemetry::record("serve.scan_configs", explored as u64);
         }
-        ScanOutcome { takes: None, furthest, reached_end }
+        ScanOutcome { takes, furthest, reached_end }
     }
 }
 
-/// Walks a trace chain back to the root, returning `(position, candidate)`
-/// take-decisions in input order.
-fn unwind_trace(traces: &[(u32, u32, Candidate)], mut id: u32) -> Vec<(usize, Candidate)> {
+/// Expands a trace into its takes in input order (iteratively: nesting depth
+/// is input-controlled).
+fn unwind_trace(traces: &[(u32, u32, TokenMatch)], id: u32) -> Vec<TokenMatch> {
     let mut takes = Vec::new();
-    while id != 0 {
-        let (parent, pos, cand) = traces[id as usize - 1];
-        takes.push((pos as usize, cand));
-        id = parent;
+    let mut todo = vec![id];
+    while let Some(id) = todo.pop() {
+        if id != 0 {
+            let (before, inner, take) = traces[id as usize - 1];
+            takes.push(take);
+            todo.extend([before, inner]);
+        }
     }
     takes.reverse();
     takes
@@ -1174,28 +1195,28 @@ fn unwind_trace(traces: &[(u32, u32, Candidate)], mut id: u32) -> Vec<(usize, Ca
 /// branch, mirroring `conv_τ`'s marker placement: call markers before the
 /// occurrence, return markers after it. The second component maps each
 /// converted-word character back to a raw character index.
-fn build_converted(chars: &[char], takes: &[(usize, Candidate)]) -> (String, Vec<usize>) {
+fn build_converted(chars: &[char], takes: &[TokenMatch]) -> (String, Vec<usize>) {
     let mut out = String::new();
     let mut raw_index = Vec::new();
     let mut take_iter = takes.iter().peekable();
     let mut i = 0usize;
     while i < chars.len() {
         match take_iter.peek() {
-            Some(&&(pos, cand)) if pos == i => {
+            Some(&&cand) if cand.start == i => {
                 take_iter.next();
                 if cand.kind == TokenKind::Call {
                     out.push(call_marker(cand.pair));
                     raw_index.push(i);
                 }
-                for &c in &chars[i..i + cand.len] {
+                for &c in &chars[i..cand.end] {
                     out.push(c);
                     raw_index.push(i);
                 }
                 if cand.kind == TokenKind::Return {
                     out.push(return_marker(cand.pair));
-                    raw_index.push(i + cand.len - 1);
+                    raw_index.push(cand.end - 1);
                 }
-                i += cand.len;
+                i = cand.end;
             }
             _ => {
                 out.push(chars[i]);
@@ -1205,35 +1226,6 @@ fn build_converted(chars: &[char], takes: &[(usize, Candidate)]) -> (String, Vec
         }
     }
     (out, raw_index)
-}
-
-/// Length (in characters) of the shortest non-empty prefix of `rest` matched
-/// by `matcher` — the char-slice equivalent of
-/// `TokenMatcher::prefix_match_lengths(..).first()`.
-fn shortest_match_len(matcher: &TokenMatcher, rest: &[char]) -> Option<usize> {
-    match matcher {
-        TokenMatcher::Literal(lit) => {
-            let mut n = 0usize;
-            let mut it = rest.iter();
-            for lc in lit.chars() {
-                if it.next() != Some(&lc) {
-                    return None;
-                }
-                n += 1;
-            }
-            (n > 0).then_some(n)
-        }
-        TokenMatcher::Dfa(dfa) => {
-            let mut state = dfa.initial();
-            for (i, &c) in rest.iter().enumerate() {
-                state = dfa.delta(state, c)?;
-                if dfa.accepting().contains(&state) {
-                    return Some(i + 1);
-                }
-            }
-            None
-        }
-    }
 }
 
 /// Attaches raw-input context to a word-level error where word characters are
@@ -1288,7 +1280,7 @@ impl CompileLearned for VStarResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vstar::tokenizer::{call_marker, return_marker};
+    use vstar::tokenizer::{call_marker, return_marker, TokenMatcher};
     use vstar::{Mat, VStar, VStarConfig};
     use vstar_vpl::grammar::figure1_grammar;
     use vstar_vpl::{Tagging, VpgBuilder};
@@ -1525,6 +1517,85 @@ mod tests {
         let err = CompiledGrammar::from_vpg_with(&g, CompileOptions { max_states: 1 }).unwrap_err();
         assert!(matches!(err, CompileError::AutomatonTooLarge { limit: 1, .. }));
         assert!(err.to_string().contains("state budget"));
+    }
+
+    /// A grammar whose call token `(` also reads as looping plain text: inside
+    /// a group, `(` may open a comment `((…y` in which further `(` are plain.
+    /// At every `(` of a nested input the scan keeps both readings alive until
+    /// the `x` kills the comment branches, so branches that differ only deep
+    /// in the stack multiply. The graph-structured stack must merge them.
+    #[test]
+    fn nested_ambiguous_calls_share_stack_nodes() {
+        let (call, ret) = (call_marker(0), return_marker(0));
+        let mut b = VpgBuilder::new(Tagging::from_pairs([(call, ret)]).unwrap());
+        let [top, group, body, comment, end] = ["S", "A", "B", "D", "E"].map(|n| b.nonterminal(n));
+        b.match_rule(top, call, group, ret, top);
+        b.linear_rule(top, 'x', top);
+        b.empty_rule(top);
+        b.linear_rule(group, '(', body);
+        b.match_rule(body, call, group, ret, body);
+        b.linear_rule(body, 'x', body);
+        b.linear_rule(body, '(', comment);
+        b.linear_rule(body, ')', end);
+        b.linear_rule(comment, '(', comment);
+        b.match_rule(comment, call, group, ret, comment);
+        b.linear_rule(comment, 'y', body);
+        b.empty_rule(end);
+        let g = b.build(top).unwrap();
+        let mut tokenizer = PartialTokenizer::new();
+        tokenizer.push_pair(vstar::TokenPair {
+            call: TokenMatcher::Literal("(".to_string()),
+            ret: TokenMatcher::Literal(")".to_string()),
+        });
+        let compiled = CompiledGrammar::assemble(
+            g.clone(),
+            tokenizer.clone(),
+            TokenDiscovery::Tokens,
+            CompileOptions::default(),
+        )
+        .unwrap();
+
+        // The oracle-backed path: `conv_τ` against balanced parentheses over
+        // `x`, then the uncompiled parser on the converted word.
+        let balanced = |s: &str| {
+            let mut depth = 0i64;
+            s.chars().all(|c| {
+                depth += match c {
+                    '(' => 1,
+                    ')' => -1,
+                    _ => 0,
+                };
+                depth >= 0 && c != 'y'
+            }) && depth == 0
+        };
+        let mat = Mat::new(&balanced);
+        let parser = VpgParser::new(&g);
+        let nested = |d: usize| format!("{}x{}", "(".repeat(d), ")".repeat(d));
+        for depth in [1, 2, 5, 20, 24] {
+            let member = nested(depth);
+            for s in [
+                member.clone(),
+                member[1..].to_string(),
+                format!("({member}"),
+                format!("{member}y"),
+            ] {
+                let converted = tokenizer.convert(&mat, &s);
+                let oracle_path = parser.recognize(&converted);
+                let guard = vstar_telemetry::install();
+                assert_eq!(compiled.recognize(&s), oracle_path, "verdicts differ on {s:?}");
+                let report = guard.finish();
+                let configs =
+                    report.facts.root.histograms.iter().find(|h| h.name == "serve.scan_configs");
+                let configs = configs.expect("the scan records its configurations");
+                assert_eq!(configs.count, 1, "one record per call");
+                assert!(configs.max < 2000, "{} configurations explored for {s:?}", configs.max);
+                if oracle_path {
+                    assert_eq!(compiled.converted_word(&s), Some(converted), "conversion of {s:?}");
+                    assert!(compiled.parse(&s).unwrap().validate(compiled.vpg()));
+                }
+            }
+            assert!(compiled.recognize(&member), "rejected depth {depth}");
+        }
     }
 
     #[test]

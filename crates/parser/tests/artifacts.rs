@@ -4,7 +4,7 @@
 //! serving side.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use vstar::{Mat, VStar, VStarConfig};
 use vstar_oracles::{Json, Language, Lisp, MathExpr, WhileLang, Xml};
@@ -12,8 +12,9 @@ use vstar_parser::{ArtifactError, CompileLearned, CompiledGrammar, LearnedParser
 
 /// Learns `lang`, compiles it, round-trips the artifact through disk and
 /// checks the reloaded copy serves identically on a mixed corpus of members,
-/// mutants and truncations.
-fn round_trip(lang: &dyn Language) {
+/// mutants and truncations — and, with `long_documents`, on long nested
+/// documents too (see [`long_documents_agree`]).
+fn round_trip(lang: &dyn Language, long_documents: bool) {
     let oracle = |s: &str| lang.accepts(s);
     let mat = Mat::new(&oracle);
     let result = VStar::new(VStarConfig::default())
@@ -96,31 +97,81 @@ fn round_trip(lang: &dyn Language) {
             lang.name()
         );
     }
+    if long_documents {
+        long_documents_agree(lang, &mat, &oracle_path, &reloaded);
+    }
+}
+
+/// 40 documents of 16–64 generated members joined by the language's own list
+/// construct (about 0.1–2 K characters, nested one level deeper than their
+/// parts): the compiled scan must give the oracle-backed path's verdict on
+/// every one — no document may be lost to the scan's configuration cap — and
+/// every tree it parses must validate.
+fn long_documents_agree(
+    lang: &dyn Language,
+    mat: &Mat<'_>,
+    oracle_path: &LearnedParser<'_>,
+    compiled: &CompiledGrammar,
+) {
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut members = 0usize;
+    for _ in 0..40 {
+        let parts: Vec<String> = (0..rng.gen_range(16..=64usize))
+            .map(|_| {
+                let budget = [8, 14, 24, 40, 64, 100, 150, 200][rng.gen_range(0..8usize)];
+                lang.generate(&mut rng, budget)
+            })
+            .collect();
+        let doc = match lang.name() {
+            "json" => format!("[{}]", parts.join(",")),
+            "lisp" => format!("({})", parts.join(" ")),
+            "xml" => format!("<r>{}</r>", parts.concat()),
+            "mathexpr" => parts.join("+"),
+            other => panic!("no list construct for {other}"),
+        };
+        assert!(lang.accepts(&doc), "{}: the document builder broke {doc:?}", lang.name());
+        let verdict = compiled.recognize(&doc);
+        assert_eq!(
+            verdict,
+            oracle_path.accepts(mat, &doc),
+            "{}: compiled scan disagrees with the oracle-backed path on {doc:?}",
+            lang.name()
+        );
+        if verdict {
+            let tree = compiled.parse(&doc).unwrap_or_else(|e| panic!("{}: {e}", lang.name()));
+            assert!(tree.validate(compiled.vpg()), "{}: invalid tree on {doc:?}", lang.name());
+            members += 1;
+        }
+    }
+    assert!(members >= 10, "{}: only {members} of 40 long documents accepted", lang.name());
 }
 
 #[test]
 fn json_artifact_round_trip() {
-    round_trip(&Json::new());
+    round_trip(&Json::new(), true);
 }
 
 #[test]
 fn lisp_artifact_round_trip() {
-    round_trip(&Lisp::new());
+    round_trip(&Lisp::new(), true);
 }
 
 #[test]
 fn xml_artifact_round_trip() {
-    round_trip(&Xml::new());
+    round_trip(&Xml::new(), true);
 }
 
 #[test]
 fn while_artifact_round_trip() {
-    round_trip(&WhileLang::new());
+    // No long documents: on `;`-joined programs the unrefined `while` grammar
+    // and `conv_τ` disagree on about half the documents, with or without the
+    // scan's cap (ROADMAP item 3).
+    round_trip(&WhileLang::new(), false);
 }
 
 #[test]
 fn mathexpr_artifact_round_trip() {
-    round_trip(&MathExpr::new());
+    round_trip(&MathExpr::new(), true);
 }
 
 #[test]
